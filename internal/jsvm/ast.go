@@ -1,7 +1,7 @@
 package jsvm
 
 // Node is any AST node. Statements and expressions are separate interface
-// families so the evaluator can't confuse them.
+// families so the compiler can't confuse them.
 type Node interface{ node() }
 
 // Stmt is a statement node.
@@ -16,9 +16,10 @@ type Expr interface {
 	expr()
 }
 
-// Program is a parsed script.
+// Program is a compiled script. It is immutable once Parse returns, so
+// one Program may run on many interpreters at once.
 type Program struct {
-	Body []Stmt
+	code []code
 }
 
 // --- statements ---

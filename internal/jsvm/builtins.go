@@ -6,87 +6,6 @@ import (
 	"strings"
 )
 
-// interpArrayMethod serves the array methods that must re-enter the
-// interpreter to run user callbacks.
-func (in *Interp) interpArrayMethod(name string) Value {
-	switch name {
-	case "forEach":
-		return NewNative(func(this Value, args []Value) (Value, error) {
-			o := this.Object()
-			if o == nil || len(args) == 0 {
-				return Undefined(), nil
-			}
-			for i, e := range o.Elems {
-				if _, err := in.CallValue(args[0], Undefined(), []Value{e, Number(float64(i)), this}); err != nil {
-					return Undefined(), err
-				}
-			}
-			return Undefined(), nil
-		})
-	case "map":
-		return NewNative(func(this Value, args []Value) (Value, error) {
-			o := this.Object()
-			if o == nil || len(args) == 0 {
-				return NewArray(), nil
-			}
-			out := make([]Value, len(o.Elems))
-			for i, e := range o.Elems {
-				v, err := in.CallValue(args[0], Undefined(), []Value{e, Number(float64(i)), this})
-				if err != nil {
-					return Undefined(), err
-				}
-				out[i] = v
-			}
-			return NewArray(out...), nil
-		})
-	case "filter":
-		return NewNative(func(this Value, args []Value) (Value, error) {
-			o := this.Object()
-			if o == nil || len(args) == 0 {
-				return NewArray(), nil
-			}
-			var out []Value
-			for i, e := range o.Elems {
-				keep, err := in.CallValue(args[0], Undefined(), []Value{e, Number(float64(i)), this})
-				if err != nil {
-					return Undefined(), err
-				}
-				if keep.Bool() {
-					out = append(out, e)
-				}
-			}
-			return NewArray(out...), nil
-		})
-	case "reduce":
-		return NewNative(func(this Value, args []Value) (Value, error) {
-			o := this.Object()
-			if o == nil || len(args) == 0 {
-				return Undefined(), rtErrf("reduce needs a callback")
-			}
-			acc := Undefined()
-			start := 0
-			if len(args) > 1 {
-				acc = args[1]
-			} else {
-				if len(o.Elems) == 0 {
-					return Undefined(), rtErrf("reduce of empty array with no initial value")
-				}
-				acc = o.Elems[0]
-				start = 1
-			}
-			for i := start; i < len(o.Elems); i++ {
-				v, err := in.CallValue(args[0], Undefined(), []Value{acc, o.Elems[i], Number(float64(i)), this})
-				if err != nil {
-					return Undefined(), err
-				}
-				acc = v
-			}
-			return acc, nil
-		})
-	}
-	return Undefined()
-}
-
 // nextRandom advances the deterministic Math.random stream (SplitMix64).
 func (in *Interp) nextRandom() float64 {
 	in.rands += 0x9E3779B97F4A7C15

@@ -3,29 +3,7 @@ package jsvm
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
-
-// Scope is a lexical environment frame.
-type Scope struct {
-	vars   map[string]Value
-	parent *Scope
-}
-
-// NewScope returns a child scope of parent (parent may be nil).
-func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: map[string]Value{}, parent: parent}
-}
-
-func (s *Scope) lookup(name string) (*Scope, bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if _, ok := sc.vars[name]; ok {
-			return sc, true
-		}
-	}
-	return nil, false
-}
 
 // RuntimeError is a script-level failure (thrown value, type error, step
 // limit, unknown identifier).
@@ -39,15 +17,13 @@ func rtErrf(format string, args ...any) error {
 	return &RuntimeError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// control-flow sentinels
+// control-flow sentinels. A return leaves its value in Interp.ret, so
+// returning from a function allocates nothing.
 var (
 	errBreak    = errors.New("jsvm: break outside loop")
 	errContinue = errors.New("jsvm: continue outside loop")
+	errReturn   = errors.New("jsvm: return outside function")
 )
-
-type returnSignal struct{ v Value }
-
-func (returnSignal) Error() string { return "jsvm: return outside function" }
 
 // thrownSignal carries a value raised by `throw` until a try/catch
 // handles it; escaping the program it becomes an uncaught RuntimeError.
@@ -58,11 +34,7 @@ func (t thrownSignal) Error() string { return "jsvm: uncaught: " + t.v.Str() }
 // isControlFlow reports whether err is a loop/function control signal
 // that try/catch must NOT intercept.
 func isControlFlow(err error) bool {
-	if err == errBreak || err == errContinue {
-		return true
-	}
-	_, isReturn := err.(returnSignal)
-	return isReturn
+	return err == errBreak || err == errContinue || err == errReturn
 }
 
 // Options configures an interpreter instance.
@@ -74,12 +46,18 @@ type Options struct {
 	RandSeed uint64
 }
 
-// Interp executes programs against a global scope.
+// Interp executes compiled programs. It holds all run state: globals,
+// the step budget, the pending return value and the per-interpreter
+// built-in method values. Programs themselves are immutable, so one
+// Program may run on many interpreters at once.
 type Interp struct {
-	globals  *Scope
+	globals  map[string]Value
 	maxSteps int
 	steps    int
 	rands    uint64
+	ret      Value   // value of the return statement being unwound
+	methods  []Value // built-in method natives, made on first use
+	stack    []Value // arguments of the script and built-in calls in progress
 	// ConsoleLog receives console.log lines (joined with spaces).
 	ConsoleLog []string
 }
@@ -90,7 +68,7 @@ func New(opts Options) *Interp {
 		opts.MaxSteps = 5_000_000
 	}
 	in := &Interp{
-		globals:  NewScope(nil),
+		globals:  map[string]Value{},
 		maxSteps: opts.MaxSteps,
 		rands:    opts.RandSeed ^ 0x9E3779B97F4A7C15,
 	}
@@ -99,11 +77,11 @@ func New(opts Options) *Interp {
 }
 
 // SetGlobal binds a global variable (host objects go here).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) SetGlobal(name string, v Value) { in.globals[name] = v }
 
 // Global reads a global variable.
 func (in *Interp) Global(name string) (Value, bool) {
-	v, ok := in.globals.vars[name]
+	v, ok := in.globals[name]
 	return v, ok
 }
 
@@ -129,12 +107,13 @@ func (in *Interp) RunSource(src string) (Value, error) {
 
 // Run executes a parsed program in the global scope.
 func (in *Interp) Run(prog *Program) (Value, error) {
+	root := &frame{in: in}
 	var last Value
-	for _, st := range prog.Body {
-		v, err := in.execStmt(st, in.globals)
+	for _, st := range prog.code {
+		v, err := st(root)
 		if err != nil {
-			if rs, ok := err.(returnSignal); ok {
-				return rs.v, nil
+			if err == errReturn {
+				return in.takeReturn(), nil
 			}
 			return Undefined(), err
 		}
@@ -143,173 +122,28 @@ func (in *Interp) Run(prog *Program) (Value, error) {
 	return last, nil
 }
 
+// step charges one evaluation step. Every compiled statement and
+// expression calls it once on entry, before any side effect.
 func (in *Interp) step() error {
 	in.steps++
 	if in.steps > in.maxSteps {
-		return rtErrf("step limit exceeded (%d)", in.maxSteps)
+		return in.stepLimit()
 	}
 	return nil
 }
 
-// execStmt executes one statement; expression statements yield a value so
-// Run can return the final one.
-func (in *Interp) execStmt(st Stmt, sc *Scope) (Value, error) {
-	if err := in.step(); err != nil {
-		return Undefined(), err
-	}
-	switch s := st.(type) {
-	case *VarDecl:
-		for i, name := range s.Names {
-			var v Value
-			if s.Inits[i] != nil {
-				var err error
-				v, err = in.eval(s.Inits[i], sc)
-				if err != nil {
-					return Undefined(), err
-				}
-			}
-			sc.vars[name] = v
-		}
-		return Undefined(), nil
-	case *ExprStmt:
-		return in.eval(s.X, sc)
-	case *BlockStmt:
-		inner := NewScope(sc)
-		var last Value
-		for _, st2 := range s.Body {
-			v, err := in.execStmt(st2, inner)
-			if err != nil {
-				return Undefined(), err
-			}
-			last = v
-		}
-		return last, nil
-	case *IfStmt:
-		cond, err := in.eval(s.Cond, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		if cond.Bool() {
-			return in.execStmt(s.Then, sc)
-		}
-		if s.Else != nil {
-			return in.execStmt(s.Else, sc)
-		}
-		return Undefined(), nil
-	case *ForStmt:
-		loop := NewScope(sc)
-		if s.Init != nil {
-			if _, err := in.execStmt(s.Init, loop); err != nil {
-				return Undefined(), err
-			}
-		}
-		for {
-			if s.Cond != nil {
-				c, err := in.eval(s.Cond, loop)
-				if err != nil {
-					return Undefined(), err
-				}
-				if !c.Bool() {
-					break
-				}
-			}
-			if _, err := in.execStmt(s.Body, loop); err != nil {
-				if err == errBreak {
-					break
-				}
-				if err != errContinue {
-					return Undefined(), err
-				}
-			}
-			if s.Post != nil {
-				if _, err := in.eval(s.Post, loop); err != nil {
-					return Undefined(), err
-				}
-			}
-			if err := in.step(); err != nil {
-				return Undefined(), err
-			}
-		}
-		return Undefined(), nil
-	case *WhileStmt:
-		first := s.Do
-		for {
-			if !first {
-				c, err := in.eval(s.Cond, sc)
-				if err != nil {
-					return Undefined(), err
-				}
-				if !c.Bool() {
-					break
-				}
-			}
-			first = false
-			if _, err := in.execStmt(s.Body, sc); err != nil {
-				if err == errBreak {
-					break
-				}
-				if err != errContinue {
-					return Undefined(), err
-				}
-			}
-			if err := in.step(); err != nil {
-				return Undefined(), err
-			}
-		}
-		return Undefined(), nil
-	case *ReturnStmt:
-		var v Value
-		if s.X != nil {
-			var err error
-			v, err = in.eval(s.X, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		return Undefined(), returnSignal{v}
-	case *BreakStmt:
-		return Undefined(), errBreak
-	case *ContinueStmt:
-		return Undefined(), errContinue
-	case *ThrowStmt:
-		v, err := in.eval(s.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		return Undefined(), thrownSignal{v}
-	case *TryStmt:
-		return in.execTry(s, sc)
-	}
-	return Undefined(), rtErrf("unknown statement %T", st)
+// stepLimit is kept out of line so step stays small enough to inline
+// into every compiled node.
+//
+//go:noinline
+func (in *Interp) stepLimit() error {
+	return rtErrf("step limit exceeded (%d)", in.maxSteps)
 }
 
-// execTry implements try/catch/finally. Control-flow signals (break,
-// continue, return) pass through uncaught; thrown values and runtime
-// errors reach the catch clause as an Error-like object. The finally
-// clause always runs, and its own failure or control flow wins.
-func (in *Interp) execTry(s *TryStmt, sc *Scope) (Value, error) {
-	runBody := func(body []Stmt, frame *Scope) error {
-		for _, st := range body {
-			if _, err := in.execStmt(st, frame); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := runBody(s.Body, NewScope(sc))
-	if err != nil && s.HasCatch && !isControlFlow(err) {
-		frame := NewScope(sc)
-		if s.CatchParam != "" {
-			frame.vars[s.CatchParam] = errorValue(err)
-		}
-		err = runBody(s.Catch, frame)
-	}
-	if s.HasFinally {
-		if ferr := runBody(s.Finally, NewScope(sc)); ferr != nil {
-			return Undefined(), ferr
-		}
-	}
-	return Undefined(), err
+func (in *Interp) takeReturn() Value {
+	v := in.ret
+	in.ret = Value{}
+	return v
 }
 
 // errorValue converts a VM error to the value a catch clause binds: the
@@ -324,378 +158,6 @@ func errorValue(err error) Value {
 	return obj
 }
 
-// eval evaluates an expression.
-func (in *Interp) eval(e Expr, sc *Scope) (Value, error) {
-	if err := in.step(); err != nil {
-		return Undefined(), err
-	}
-	switch x := e.(type) {
-	case *preEvaluated:
-		return x.v, nil
-	case *NumberLit:
-		return Number(x.Value), nil
-	case *StringLit:
-		return String(x.Value), nil
-	case *BoolLit:
-		return Boolean(x.Value), nil
-	case *NullLit:
-		return Null(), nil
-	case *UndefinedLit:
-		return Undefined(), nil
-	case *Ident:
-		if frame, ok := sc.lookup(x.Name); ok {
-			return frame.vars[x.Name], nil
-		}
-		return Undefined(), rtErrf("%s is not defined", x.Name)
-	case *ArrayLit:
-		elems := make([]Value, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := in.eval(el, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			elems[i] = v
-		}
-		return NewArray(elems...), nil
-	case *ObjectLit:
-		obj := NewObject()
-		for i, k := range x.Keys {
-			v, err := in.eval(x.Values[i], sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			obj.obj.Props[k] = v
-		}
-		return obj, nil
-	case *FuncLit:
-		return Value{kind: KindObject, obj: &Object{Fn: x, Env: sc}}, nil
-	case *Unary:
-		return in.evalUnary(x, sc)
-	case *Postfix:
-		old, err := in.eval(x.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		delta := 1.0
-		if x.Op == "--" {
-			delta = -1
-		}
-		if err := in.assignTo(x.X, Number(old.Num()+delta), sc); err != nil {
-			return Undefined(), err
-		}
-		return Number(old.Num()), nil
-	case *Binary:
-		return in.evalBinary(x, sc)
-	case *Assign:
-		return in.evalAssign(x, sc)
-	case *Cond:
-		t, err := in.eval(x.Test, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		if t.Bool() {
-			return in.eval(x.Then, sc)
-		}
-		return in.eval(x.Else, sc)
-	case *Member:
-		obj, err := in.eval(x.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		return in.getProp(obj, x.Name)
-	case *Index:
-		obj, err := in.eval(x.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		idx, err := in.eval(x.I, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		return in.getIndex(obj, idx)
-	case *Call:
-		return in.evalCall(x, sc)
-	case *NewExpr:
-		return in.evalNew(x, sc)
-	}
-	return Undefined(), rtErrf("unknown expression %T", e)
-}
-
-func (in *Interp) evalUnary(x *Unary, sc *Scope) (Value, error) {
-	if x.Op == "typeof" {
-		// typeof tolerates undefined identifiers.
-		if id, ok := x.X.(*Ident); ok {
-			if _, found := sc.lookup(id.Name); !found {
-				return String("undefined"), nil
-			}
-		}
-		v, err := in.eval(x.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		return String(v.TypeOf()), nil
-	}
-	if x.Op == "++" || x.Op == "--" {
-		old, err := in.eval(x.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		delta := 1.0
-		if x.Op == "--" {
-			delta = -1
-		}
-		nv := Number(old.Num() + delta)
-		if err := in.assignTo(x.X, nv, sc); err != nil {
-			return Undefined(), err
-		}
-		return nv, nil
-	}
-	v, err := in.eval(x.X, sc)
-	if err != nil {
-		return Undefined(), err
-	}
-	switch x.Op {
-	case "!":
-		return Boolean(!v.Bool()), nil
-	case "-":
-		return Number(-v.Num()), nil
-	case "+":
-		return Number(v.Num()), nil
-	case "~":
-		return Number(float64(^toInt32(v.Num()))), nil
-	}
-	return Undefined(), rtErrf("unknown unary operator %q", x.Op)
-}
-
-func toInt32(f float64) int32 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
-	}
-	return int32(int64(f))
-}
-
-func (in *Interp) evalBinary(x *Binary, sc *Scope) (Value, error) {
-	// Short-circuit operators evaluate lazily and yield operand values.
-	switch x.Op {
-	case "&&":
-		l, err := in.eval(x.L, sc)
-		if err != nil || !l.Bool() {
-			return l, err
-		}
-		return in.eval(x.R, sc)
-	case "||":
-		l, err := in.eval(x.L, sc)
-		if err != nil || l.Bool() {
-			return l, err
-		}
-		return in.eval(x.R, sc)
-	case ",":
-		if _, err := in.eval(x.L, sc); err != nil {
-			return Undefined(), err
-		}
-		return in.eval(x.R, sc)
-	}
-	l, err := in.eval(x.L, sc)
-	if err != nil {
-		return Undefined(), err
-	}
-	r, err := in.eval(x.R, sc)
-	if err != nil {
-		return Undefined(), err
-	}
-	switch x.Op {
-	case "+":
-		if l.Kind() == KindString || r.Kind() == KindString ||
-			(l.Kind() == KindObject && !l.IsCallable()) || (r.Kind() == KindObject && !r.IsCallable()) {
-			return String(l.Str() + r.Str()), nil
-		}
-		return Number(l.Num() + r.Num()), nil
-	case "-":
-		return Number(l.Num() - r.Num()), nil
-	case "*":
-		return Number(l.Num() * r.Num()), nil
-	case "/":
-		return Number(l.Num() / r.Num()), nil
-	case "%":
-		return Number(math.Mod(l.Num(), r.Num())), nil
-	case "==":
-		return Boolean(LooseEquals(l, r)), nil
-	case "!=":
-		return Boolean(!LooseEquals(l, r)), nil
-	case "===":
-		return Boolean(StrictEquals(l, r)), nil
-	case "!==":
-		return Boolean(!StrictEquals(l, r)), nil
-	case "<", ">", "<=", ">=":
-		if l.Kind() == KindString && r.Kind() == KindString {
-			ls, rs := l.Str(), r.Str()
-			switch x.Op {
-			case "<":
-				return Boolean(ls < rs), nil
-			case ">":
-				return Boolean(ls > rs), nil
-			case "<=":
-				return Boolean(ls <= rs), nil
-			default:
-				return Boolean(ls >= rs), nil
-			}
-		}
-		ln, rn := l.Num(), r.Num()
-		switch x.Op {
-		case "<":
-			return Boolean(ln < rn), nil
-		case ">":
-			return Boolean(ln > rn), nil
-		case "<=":
-			return Boolean(ln <= rn), nil
-		default:
-			return Boolean(ln >= rn), nil
-		}
-	case "&":
-		return Number(float64(toInt32(l.Num()) & toInt32(r.Num()))), nil
-	case "|":
-		return Number(float64(toInt32(l.Num()) | toInt32(r.Num()))), nil
-	case "^":
-		return Number(float64(toInt32(l.Num()) ^ toInt32(r.Num()))), nil
-	case "<<":
-		return Number(float64(toInt32(l.Num()) << (uint32(toInt32(r.Num())) & 31))), nil
-	case ">>":
-		return Number(float64(toInt32(l.Num()) >> (uint32(toInt32(r.Num())) & 31))), nil
-	case "in":
-		if r.Kind() == KindObject && r.obj.Props != nil {
-			_, ok := r.obj.Props[l.Str()]
-			return Boolean(ok), nil
-		}
-		return Boolean(false), nil
-	}
-	return Undefined(), rtErrf("unknown operator %q", x.Op)
-}
-
-func (in *Interp) evalAssign(x *Assign, sc *Scope) (Value, error) {
-	val, err := in.eval(x.Value, sc)
-	if err != nil {
-		return Undefined(), err
-	}
-	if x.Op != "=" {
-		cur, err := in.eval(x.Target, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		op := strings.TrimSuffix(x.Op, "=")
-		combined, err := in.evalBinary(&Binary{Op: op, L: litFor(cur), R: litFor(val)}, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		val = combined
-	}
-	if err := in.assignTo(x.Target, val, sc); err != nil {
-		return Undefined(), err
-	}
-	return val, nil
-}
-
-// litFor wraps an already-computed value as a literal expression so that
-// compound assignment can reuse evalBinary.
-func litFor(v Value) Expr {
-	switch v.Kind() {
-	case KindNumber:
-		return &NumberLit{Value: v.num}
-	case KindString:
-		return &StringLit{Value: v.str}
-	case KindBool:
-		return &BoolLit{Value: v.b}
-	case KindNull:
-		return &NullLit{}
-	case KindObject:
-		return &preEvaluated{v}
-	}
-	return &UndefinedLit{}
-}
-
-// preEvaluated smuggles an object value through evalBinary.
-type preEvaluated struct{ v Value }
-
-func (*preEvaluated) node() {}
-func (*preEvaluated) expr() {}
-
-func (in *Interp) assignTo(target Expr, val Value, sc *Scope) error {
-	switch t := target.(type) {
-	case *Ident:
-		if frame, ok := sc.lookup(t.Name); ok {
-			frame.vars[t.Name] = val
-			return nil
-		}
-		// Implicit global, as in sloppy-mode JS.
-		in.globals.vars[t.Name] = val
-		return nil
-	case *Member:
-		obj, err := in.eval(t.X, sc)
-		if err != nil {
-			return err
-		}
-		return in.setProp(obj, t.Name, val)
-	case *Index:
-		obj, err := in.eval(t.X, sc)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(t.I, sc)
-		if err != nil {
-			return err
-		}
-		return in.setIndex(obj, idx, val)
-	}
-	return rtErrf("invalid assignment target %T", target)
-}
-
-func (in *Interp) evalCall(x *Call, sc *Scope) (Value, error) {
-	// Method call: bind `this`.
-	var this Value
-	var fn Value
-	var err error
-	switch callee := x.Fn.(type) {
-	case *Member:
-		this, err = in.eval(callee.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		fn, err = in.getProp(this, callee.Name)
-		if err != nil {
-			return Undefined(), err
-		}
-		if fn.IsUndefined() {
-			return Undefined(), rtErrf("%s.%s is not a function", this.TypeOf(), callee.Name)
-		}
-	case *Index:
-		this, err = in.eval(callee.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		idx, err := in.eval(callee.I, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		fn, err = in.getIndex(this, idx)
-		if err != nil {
-			return Undefined(), err
-		}
-	default:
-		fn, err = in.eval(x.Fn, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := in.eval(a, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		args[i] = v
-	}
-	return in.CallValue(fn, this, args)
-}
-
 // CallValue invokes a callable value with an explicit this and arguments.
 // Host callbacks (e.g. DOM event handlers) use it to re-enter the VM.
 func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
@@ -705,55 +167,67 @@ func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 	if fn.obj.Native != nil {
 		return fn.obj.Native(this, args)
 	}
-	frame := NewScope(fn.obj.Env)
-	def := fn.obj.Fn
-	for i, p := range def.Params {
+	return in.callFunction(fn, this, args)
+}
+
+// call evaluates a call's arguments and invokes fn. Script functions
+// and built-in methods copy what they keep of their arguments, so they
+// get them on the interpreter's stack; host natives may keep theirs and
+// get a slice of their own.
+func (in *Interp) call(fn, this Value, args []code, f *frame) (Value, error) {
+	if fn.kind != KindObject || (fn.obj.fn == nil && fn.obj.method == nil) {
+		vals, err := evalAll(args, f)
+		if err != nil {
+			return Undefined(), err
+		}
+		return in.CallValue(fn, this, vals)
+	}
+	base := len(in.stack)
+	defer func() { in.stack = in.stack[:base] }()
+	for _, a := range args {
+		v, err := a(f)
+		if err != nil {
+			return Undefined(), err
+		}
+		in.stack = append(in.stack, v)
+	}
+	vals := in.stack[base:len(in.stack):len(in.stack)]
+	if m := fn.obj.method; m != nil {
+		return m.fn(in, this, vals)
+	}
+	return in.callFunction(fn, this, vals)
+}
+
+// callFunction runs a compiled script function in a new frame.
+func (in *Interp) callFunction(fn Value, this Value, args []Value) (Value, error) {
+	o := fn.obj
+	def := o.fn
+	fr := newFrame(in, o.env, def.slots)
+	for i, s := range def.params {
 		if i < len(args) {
-			frame.vars[p] = args[i]
+			fr.slots[s] = args[i]
 		} else {
-			frame.vars[p] = Undefined()
+			fr.slots[s] = Undefined()
 		}
 	}
-	frame.vars["this"] = this
-	argsArr := NewArray(args...)
-	frame.vars["arguments"] = argsArr
-	if def.Name != "" {
-		frame.vars[def.Name] = fn
+	// Bind in the order params, this, arguments, own name, so a later
+	// binding of the same name wins as it always has.
+	if def.thisSlot >= 0 {
+		fr.slots[def.thisSlot] = this
 	}
-	for _, st := range def.Body {
-		if _, err := in.execStmt(st, frame); err != nil {
-			if rs, ok := err.(returnSignal); ok {
-				return rs.v, nil
+	if def.argsSlot >= 0 {
+		fr.slots[def.argsSlot] = NewArray(append([]Value(nil), args...)...)
+	}
+	if def.nameSlot >= 0 {
+		fr.slots[def.nameSlot] = fn
+	}
+	for _, st := range def.body {
+		if _, err := st(fr); err != nil {
+			if err == errReturn {
+				return in.takeReturn(), nil
 			}
 			return Undefined(), err
 		}
 	}
 	return Undefined(), nil
-}
-
-func (in *Interp) evalNew(x *NewExpr, sc *Scope) (Value, error) {
-	fn, err := in.eval(x.Fn, sc)
-	if err != nil {
-		return Undefined(), err
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := in.eval(a, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		args[i] = v
-	}
-	if !fn.IsCallable() {
-		return Undefined(), rtErrf("constructor is not callable")
-	}
-	this := NewObject()
-	ret, err := in.CallValue(fn, this, args)
-	if err != nil {
-		return Undefined(), err
-	}
-	if ret.Kind() == KindObject {
-		return ret, nil
-	}
-	return this, nil
 }

@@ -675,6 +675,37 @@ func BenchmarkInterpFib(b *testing.B) {
 	}
 }
 
+// hashLoopSrc is the djb2 __fpHash helper the fingerprinting vendors in
+// internal/services share, applied to a data URL: the crawl's hottest
+// interpreted loop.
+const hashLoopSrc = `
+function __fpHash(s) {
+	var h = 5381;
+	for (var i = 0; i < s.length; i++) {
+		h = ((h << 5) + h + s.charCodeAt(i)) & 0x7fffffff;
+	}
+	return h;
+}
+__fpHash(__url);
+`
+
+func BenchmarkInterpHashLoop(b *testing.B) {
+	prog, err := Parse(hashLoopSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	url := "data:image/png;base64," + strings.Repeat("iVBORw0KGgoAAAANSUhEUgAAARgAAAA8CAYAAAC9xKUY", 20_000/44)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := New(Options{})
+		in.SetGlobal("__url", String(url))
+		if _, err := in.Run(prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParse(b *testing.B) {
 	src := `
 	function fingerprint(doc) {

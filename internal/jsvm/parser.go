@@ -6,22 +6,24 @@ import (
 	"strings"
 )
 
-// Parse turns source text into a Program.
+// Parse turns source text into a Program: it lexes and parses the
+// source, then resolves every identifier to a frame slot and compiles
+// the tree into closures (resolve.go, compile.go).
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	prog := &Program{}
+	var body []Stmt
 	for !p.at(tEOF, "") {
 		st, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
-		prog.Body = append(prog.Body, st)
+		body = append(body, st)
 	}
-	return prog, nil
+	return &Program{code: compileProgram(body)}, nil
 }
 
 type parser struct {

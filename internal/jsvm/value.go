@@ -40,18 +40,19 @@ type Object struct {
 	Props   map[string]Value
 	Elems   []Value
 	IsArray bool
-	Fn      *FuncLit
-	Env     *Scope
 	Native  NativeFunc
 	Host    HostObject
+
+	fn     *function // compiled script function, with
+	env    *frame    // the frame it closes over
+	method *method   // set when Native wraps a built-in method
 }
 
 // Value is a script value. The zero Value is undefined.
 type Value struct {
 	kind Kind
-	num  float64
+	num  float64 // numbers, and booleans as 1 or 0
 	str  string
-	b    bool
 	obj  *Object
 }
 
@@ -62,7 +63,12 @@ func Undefined() Value { return Value{} }
 func Null() Value { return Value{kind: KindNull} }
 
 // Boolean wraps a Go bool.
-func Boolean(b bool) Value { return Value{kind: KindBool, b: b} }
+func Boolean(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Number wraps a float64.
 func Number(f float64) Value { return Value{kind: KindNumber, num: f} }
@@ -101,7 +107,7 @@ func (v Value) IsNullish() bool { return v.kind == KindUndefined || v.kind == Ki
 
 // IsCallable reports whether Call can invoke the value.
 func (v Value) IsCallable() bool {
-	return v.kind == KindObject && (v.obj.Fn != nil || v.obj.Native != nil)
+	return v.kind == KindObject && (v.obj.fn != nil || v.obj.Native != nil)
 }
 
 // IsArray reports whether the value is an array object.
@@ -127,7 +133,7 @@ func (v Value) Object() *Object {
 func (v Value) Bool() bool {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.num != 0
 	case KindNumber:
 		return v.num != 0 && !math.IsNaN(v.num)
 	case KindString:
@@ -144,10 +150,7 @@ func (v Value) Num() float64 {
 	case KindNumber:
 		return v.num
 	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return v.num
 	case KindString:
 		s := strings.TrimSpace(v.str)
 		if s == "" {
@@ -171,7 +174,7 @@ func (v Value) Str() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.b {
+		if v.num != 0 {
 			return "true"
 		}
 		return "false"
@@ -189,7 +192,7 @@ func (v Value) Str() string {
 				}
 			}
 			return strings.Join(parts, ",")
-		case v.obj.Fn != nil || v.obj.Native != nil:
+		case v.obj.fn != nil || v.obj.Native != nil:
 			return "function () { [code] }"
 		case v.obj.Host != nil:
 			if s, ok := v.obj.Host.HostGet("__string__"); ok {
@@ -251,7 +254,7 @@ func StrictEquals(a, b Value) bool {
 	case KindUndefined, KindNull:
 		return true
 	case KindBool:
-		return a.b == b.b
+		return a.num == b.num
 	case KindNumber:
 		return a.num == b.num // NaN !== NaN falls out naturally
 	case KindString:

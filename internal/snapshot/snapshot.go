@@ -195,6 +195,10 @@ type State struct {
 func (s *Store) Export() State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.exportLocked()
+}
+
+func (s *Store) exportLocked() State {
 	st := State{Schema: SchemaVersion, URLs: make(map[string]string, len(s.byURL)), Hits: s.hits}
 	for u, h := range s.byURL {
 		st.URLs[u] = fmt.Sprintf("%016x", h)
@@ -230,11 +234,15 @@ func (s *Store) Save(dir string) error {
 	if err := os.MkdirAll(filepath.Join(dir, blobDir), 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	// Copy the blobs and the index under one lock: crawl workers keep
+	// fetching while a checkpoint saves, and an index exported later
+	// could name a body this save never wrote.
 	s.mu.RLock()
 	blobs := make(map[uint64]string, len(s.blobs))
 	for h, b := range s.blobs {
 		blobs[h] = b
 	}
+	st := s.exportLocked()
 	s.mu.RUnlock()
 	hashes := make([]uint64, 0, len(blobs))
 	for h := range blobs {
@@ -250,7 +258,7 @@ func (s *Store) Save(dir string) error {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(s.Export(), "", "  ")
+	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}

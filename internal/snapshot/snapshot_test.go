@@ -201,3 +201,42 @@ func TestLoadRejectsNewerSchema(t *testing.T) {
 		t.Fatal("Load accepted an index from a newer schema")
 	}
 }
+
+// TestSaveWhileFetching: a checkpoint saves the store while crawl
+// workers keep fetching, so every saved index must name only bodies the
+// same save wrote.
+func TestSaveWhileFetching(t *testing.T) {
+	s := New()
+	dir := t.TempDir()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3000; i++ {
+			u, err := netsim.ParseURL(fmt.Sprintf("https://cdn.example/s%d.js", i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body := fmt.Sprintf("var v = %d;", i)
+			if _, err := s.Fetch(u, func() (string, error) { return body, nil }); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var err error
+	for fetching := true; fetching && err == nil; {
+		select {
+		case <-done:
+			fetching = false
+		default:
+		}
+		if err = s.Save(dir); err == nil {
+			_, err = Load(dir)
+		}
+	}
+	<-done
+	if err != nil {
+		t.Fatalf("a save made while fetching does not load: %v", err)
+	}
+}
