@@ -41,7 +41,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
 
-check: build test race vet fuzz-smoke bench-smoke bench-check trace-smoke serve-smoke distrib-smoke interact-smoke
+check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 # resume-smoke is the shell-level half of the resume oracle (the Go
 # half is TestResumeOracle): run a checkpointed study to completion,

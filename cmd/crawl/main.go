@@ -237,7 +237,7 @@ func main() {
 	}
 	if cp != nil {
 		if cs := cp.Crawl(cfg.Condition); cs != nil {
-			cfg.Resume = &crawler.ResumeState{Pages: cs.Pages, ParseSeen: cs.ParseSeen}
+			cfg.Resume = cs.Pages
 			fmt.Fprintf(os.Stderr, "resume: continuing %q from page %d/%d\n", cfg.Condition, cs.Frontier, cs.Total)
 		}
 	}
@@ -275,11 +275,6 @@ func main() {
 		st.OK, st.Visited, st.Extractions, res.Machine, *blocker)
 
 	if cli.Metrics {
-		if rate, ok := crawler.CacheHitRate(tel.Metrics); ok {
-			fmt.Fprintf(os.Stderr, "\nparse-cache hit rate: %.1f%%\n", 100*rate)
-		} else {
-			fmt.Fprintf(os.Stderr, "\nparse-cache hit rate: n/a (no lookups)\n")
-		}
 		cli.PrintMetrics(tel, os.Stderr)
 	}
 	if err := cli.WriteTrace(tel); err != nil {

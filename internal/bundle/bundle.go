@@ -21,8 +21,10 @@ import (
 )
 
 // SchemaVersion is the bundle layout version, independent of the event
-// wire schema (which travels in Manifest.EventSchema).
-const SchemaVersion = 1
+// wire schema (which travels in Manifest.EventSchema). v2 records the
+// metric set without the crawler's parse-cache hit/miss counters; v1
+// bundles still load.
+const SchemaVersion = 2
 
 // Well-known file names inside a bundle directory.
 const (

@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,15 +86,25 @@ func TestLoadRejectsNewerSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hacked := strings.Replace(string(raw), `"bundle_schema": 1`, `"bundle_schema": 99`, 1)
-	if hacked == string(raw) {
-		t.Fatal("test setup: schema field not found")
+	current := fmt.Sprintf(`"bundle_schema": %d`, SchemaVersion)
+	setSchema := func(v int) {
+		t.Helper()
+		hacked := strings.Replace(string(raw), current, fmt.Sprintf(`"bundle_schema": %d`, v), 1)
+		if hacked == string(raw) {
+			t.Fatal("test setup: schema field not found")
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(hacked), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(hacked), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	setSchema(99)
 	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("newer bundle schema must be rejected, got %v", err)
+	}
+	// Older bundles stay readable.
+	setSchema(1)
+	if _, err := Load(dir); err != nil {
+		t.Fatalf("v1 bundle must still load, got %v", err)
 	}
 }
 

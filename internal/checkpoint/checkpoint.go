@@ -5,8 +5,6 @@
 //
 //   - the completed page prefix per crawl condition (the PageResults
 //     themselves — replayable verbatim);
-//   - the parse-cache accounting cursor (first-seen body hashes in
-//     page order);
 //   - the full metrics-registry snapshot and evidence-event log with
 //     their high-water marks (event seq, dropped count);
 //   - the fault model's cursor (seed + rate + forced plans — PlanFor
@@ -38,8 +36,9 @@ import (
 )
 
 // SchemaVersion is the checkpoint.json format version. Bump on any
-// shape change; Load rejects newer schemas rather than misreading.
-const SchemaVersion = 1
+// shape change; Load rejects every other schema rather than misreading
+// (a v1 sidecar would restore counters no fresh run writes).
+const SchemaVersion = 2
 
 // FileName is the sidecar file a Writer maintains under its directory.
 const FileName = "checkpoint.json"
@@ -61,8 +60,6 @@ type CrawlState struct {
 	Extension string `json:"extension,omitempty"`
 	// Pages is the committed page prefix, verbatim.
 	Pages []*crawler.PageResult `json:"pages"`
-	// ParseSeen is the parse-cache first-seen cursor at the frontier.
-	ParseSeen []uint64 `json:"parse_seen,omitempty"`
 }
 
 // Checkpoint is the whole sidecar document.
@@ -217,7 +214,6 @@ func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool 
 	cs.Machine = machine
 	cs.Extension = extension
 	cs.Pages = append(cs.Pages[:0], st.Pages...)
-	cs.ParseSeen = append(cs.ParseSeen[:0], st.ParseSeen...)
 	if err := w.writeLocked(); err != nil {
 		// A failed checkpoint write must not corrupt the crawl; the run
 		// continues and the next cut retries. Surface it on stderr —
@@ -289,8 +285,8 @@ func Load(dir string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if cp.Schema > SchemaVersion {
-		return nil, fmt.Errorf("checkpoint: schema v%d is newer than supported v%d", cp.Schema, SchemaVersion)
+	if cp.Schema != SchemaVersion {
+		return nil, fmt.Errorf("checkpoint: schema v%d is not the supported v%d", cp.Schema, SchemaVersion)
 	}
 	return &cp, nil
 }

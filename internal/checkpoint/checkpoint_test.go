@@ -39,7 +39,6 @@ func commitState(frontier, total int, final bool) crawler.CommitState {
 		Frontier:  frontier,
 		Total:     total,
 		Pages:     pages,
-		ParseSeen: []uint64{11, 22, 33},
 		Final:     final,
 	}
 }
@@ -84,8 +83,8 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if cs.Machine != "intel-mac" || cs.Extension != "abp-sim" {
 		t.Fatalf("machine/extension = %q/%q", cs.Machine, cs.Extension)
 	}
-	if len(cs.Pages) != 128 || len(cs.ParseSeen) != 3 {
-		t.Fatalf("pages/parse cursor = %d/%d", len(cs.Pages), len(cs.ParseSeen))
+	if len(cs.Pages) != 128 {
+		t.Fatalf("pages = %d, want 128", len(cs.Pages))
 	}
 	if cp.Metrics.Counters["crawl.visits.ok"] != 7 {
 		t.Fatalf("metrics snapshot lost counters: %v", cp.Metrics.Counters)
@@ -265,6 +264,26 @@ func TestLoadRejectsNewerSchema(t *testing.T) {
 	}
 	if _, err := Load(t.TempDir()); err == nil {
 		t.Fatal("Load invented a checkpoint in an empty directory")
+	}
+}
+
+// TestLoadRejectsV1Checkpoint: a v1 sidecar carries a parse-cache
+// cursor and a metrics snapshot with the retired parse-cache hit/miss
+// counters, which a resume would restore into bundles no fresh run
+// writes. Load refuses it and names both schema versions.
+func TestLoadRejectsV1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	data := []byte(`{"schema": 1, "seq": 3, "crawls": [{"condition": "control", "total": 10, "frontier": 4, "pages": [], "parse_seen": [11, 22]}],
+  "metrics": {"counters": {"crawl.visits.ok": 4}}}`)
+	if err := os.WriteFile(filepath.Join(dir, FileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir)
+	if err == nil {
+		t.Fatal("Load accepted a v1 checkpoint")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "v1") || !strings.Contains(msg, fmt.Sprintf("v%d", SchemaVersion)) {
+		t.Fatalf("error %q must name both the found and the supported schema", msg)
 	}
 }
 

@@ -174,9 +174,8 @@ type Config struct {
 	// page (ablation benchmark).
 	DisableParseCache bool
 	// Telemetry, when non-nil, receives crawl metrics: visit latency,
-	// queue wait, worker utilization, script outcome counters,
-	// parse-cache effectiveness, and jsvm step usage. Nil runs the
-	// bare, uninstrumented path.
+	// queue wait, worker utilization, script outcome counters, parse
+	// time, and jsvm step usage. Nil runs the bare, uninstrumented path.
 	Telemetry *obs.Telemetry
 	// Condition labels this crawl in the evidence event log ("control",
 	// "abp", "demo", ...) so bundle diffs can align per-condition
@@ -230,12 +229,12 @@ type Config struct {
 	// exact cut. Returning true stops the crawl: in-flight pages are
 	// discarded uncommitted and Result.Interrupted is set.
 	OnCommit func(CommitState) (stop bool)
-	// Resume continues a previous crawl from checkpoint state: the
-	// committed page prefix is replayed into the result verbatim and
-	// the worker pool starts at the frontier. Metrics and events for
-	// the prefix are NOT re-applied — the caller restores those from
-	// the same checkpoint.
-	Resume *ResumeState
+	// Resume continues a previous crawl from its committed page prefix
+	// (indices [0, len(Resume))): the pages are replayed into the result
+	// verbatim and the worker pool starts at the frontier. Metrics and
+	// events for the prefix are NOT re-applied — the caller restores
+	// those from the same checkpoint.
+	Resume []*PageResult
 	// PageIndexOffset shifts the page-index identity handed to exemplar
 	// span trees (tracez.NewVisit). A distributed work-unit crawling
 	// sites [Start, End) of a larger frontier passes Start here, so its
@@ -267,21 +266,8 @@ type CommitState struct {
 	// Pages is the committed prefix (aliases the result slice — copy
 	// before retaining past the hook call).
 	Pages []*PageResult
-	// ParseSeen lists the distinct script-body hashes counted as
-	// parse-cache misses so far, in first-seen page order — the
-	// accounting cursor a resumed crawl needs to keep hit/miss totals
-	// identical to an uninterrupted run.
-	ParseSeen []uint64
 	// Final marks the crawl-completion commit.
 	Final bool
-}
-
-// ResumeState is the crawl-continuation half of a checkpoint.
-type ResumeState struct {
-	// Pages is the committed prefix (indices [0, len(Pages))).
-	Pages []*PageResult
-	// ParseSeen is CommitState.ParseSeen from the checkpoint.
-	ParseSeen []uint64
 }
 
 // DefaultConfig returns the paper's crawl configuration: consent
@@ -310,30 +296,26 @@ type progCache struct {
 	progs map[uint64]*jsvm.Program
 }
 
-// get returns the parsed program for body, the body's cache key, and
-// whether the program was already cached. Hit/miss accounting does not
-// happen here — the committer decides it from the key stream in page
-// order, so the counters are scheduling-independent (two workers
-// racing to parse the same body both insert; the accounting still sees
-// exactly one first occurrence). The hit flag is likewise a
-// scheduling-dependent observation: it only annotates exemplar spans,
+// get returns the parsed program for body and whether it was already
+// cached. Two workers racing to parse the same body both insert, so the
+// cached flag depends on scheduling: it only annotates exemplar spans,
 // never metrics.
-func (c *progCache) get(body string) (*jsvm.Program, uint64, bool, error) {
+func (c *progCache) get(body string) (*jsvm.Program, bool, error) {
 	key := stats.HashString(body)
 	c.mu.RLock()
 	p, ok := c.progs[key]
 	c.mu.RUnlock()
 	if ok {
-		return p, key, true, nil
+		return p, true, nil
 	}
 	p, err := jsvm.Parse(body)
 	if err != nil {
-		return nil, key, false, err
+		return nil, false, err
 	}
 	c.mu.Lock()
 	c.progs[key] = p
 	c.mu.Unlock()
-	return p, key, false, nil
+	return p, false, nil
 }
 
 // crawlMetrics holds the pre-resolved metric handles for one crawl.
@@ -344,7 +326,6 @@ type crawlMetrics struct {
 	extractions                *obs.Counter
 	scriptsRun, scriptsBlocked *obs.Counter
 	scriptErrors, consentSkip  *obs.Counter
-	cacheHits, cacheMisses     *obs.Counter
 	visitLatency, queueWait    *obs.Histogram
 	parseTime, vmSteps         *obs.Histogram
 	workerUtil                 *obs.Histogram
@@ -388,8 +369,6 @@ func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
 		scriptsBlocked: reg.Counter("crawl.scripts.blocked"),
 		scriptErrors:   reg.Counter("crawl.scripts.errors"),
 		consentSkip:    reg.Counter("crawl.scripts.consent_skipped"),
-		cacheHits:      reg.Counter("crawl.parsecache.hits"),
-		cacheMisses:    reg.Counter("crawl.parsecache.misses"),
 		visitLatency:   reg.Histogram("crawl.visit.seconds", obs.LatencyBuckets()),
 		queueWait:      reg.Histogram("crawl.queue.wait.seconds", obs.LatencyBuckets()),
 		parseTime:      reg.Histogram("crawl.parse.seconds", obs.LatencyBuckets()),
@@ -399,26 +378,10 @@ func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
 	}
 }
 
-// CacheHitRate returns the parse-cache hit rate over the whole
-// registry lifetime and whether any lookups happened. The boolean is
-// what separates "0% hit rate" (every lookup missed — the ablation
-// path) from "no observations" (nothing ever consulted the cache);
-// reports render the latter as n/a, never 0.00. Reading goes through
-// a snapshot so asking never registers the counters as a side effect.
-func CacheHitRate(reg *obs.Registry) (rate float64, ok bool) {
-	snap := reg.Snapshot()
-	hits := snap.Counters["crawl.parsecache.hits"]
-	misses := snap.Counters["crawl.parsecache.misses"]
-	if hits+misses == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(hits+misses), true
-}
-
 // pageDelta is everything one page visit wants to write to shared
 // telemetry, buffered privately in the visiting worker and applied by
 // the committer in page-index order. The indirection is what makes
-// crawl-side metrics, evidence events, and cache accounting byte-
+// crawl-side metrics, evidence events, and snapshot accounting byte-
 // identical at any worker width — and gives checkpoints an exact cut:
 // at a commit boundary the registry and sink contain page [0, n)'s
 // writes, all of them, and nothing else.
@@ -426,13 +389,6 @@ type pageDelta struct {
 	counts []counterDelta
 	obsv   []histObs
 	events []event.Event
-	// parseKeys are the page's parse-cache lookup keys in lookup
-	// order; the committer turns them into hit/miss counts against a
-	// crawl-global first-seen set.
-	parseKeys []uint64
-	// forcedMisses counts parses under DisableParseCache (every parse
-	// is a miss by definition; no seen-set involved).
-	forcedMisses int64
 	// snapURLs are the URLs fetched through the snapshot store, for
 	// commit-time hit/miss accounting.
 	snapURLs []string
@@ -471,24 +427,12 @@ func (d *pageDelta) record(e event.Event) { d.events = append(d.events, e) }
 
 // apply replays the delta into the shared telemetry. Runs only on the
 // committer goroutine, one page at a time, in page order.
-func (d *pageDelta) apply(mx *crawlMetrics, evs *event.Sink, snaps SnapshotStore, seen map[uint64]bool, seenOrder *[]uint64) {
+func (d *pageDelta) apply(evs *event.Sink, snaps SnapshotStore) {
 	for _, cd := range d.counts {
 		cd.c.Add(cd.n)
 	}
 	for _, ob := range d.obsv {
 		ob.h.Observe(ob.v)
-	}
-	if mx != nil {
-		for _, k := range d.parseKeys {
-			if seen[k] {
-				mx.cacheHits.Inc()
-			} else {
-				seen[k] = true
-				*seenOrder = append(*seenOrder, k)
-				mx.cacheMisses.Inc()
-			}
-		}
-		mx.cacheMisses.Add(d.forcedMisses)
 	}
 	for _, e := range d.events {
 		evs.Record(e)
@@ -516,8 +460,8 @@ type visitDone struct {
 //
 // Workers only compute: each visit buffers its telemetry into a
 // private pageDelta. A single committer goroutine applies results in
-// page-index order — metrics, evidence events, parse-cache and
-// snapshot accounting all land as if the crawl had run serially, at
+// page-index order — metrics, evidence events and snapshot
+// accounting all land as if the crawl had run serially, at
 // any pool width. Config.OnCommit observes the committed frontier for
 // checkpointing and may stop the crawl; Config.Resume restarts one
 // from a committed prefix.
@@ -576,18 +520,9 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 
 	// Resume: replay the committed prefix verbatim and start the pool
 	// at the frontier. The prefix's metrics/events live in the
-	// checkpoint the caller restored; only the parse-cache seen-set
-	// cursor transfers here.
-	frontier := 0
-	var resumeSeen []uint64
-	if cfg.Resume != nil {
-		frontier = len(cfg.Resume.Pages)
-		if frontier > len(sites) {
-			frontier = len(sites)
-		}
-		copy(res.Pages, cfg.Resume.Pages[:frontier])
-		resumeSeen = cfg.Resume.ParseSeen
-	}
+	// checkpoint the caller restored.
+	frontier := min(len(cfg.Resume), len(sites))
+	copy(res.Pages, cfg.Resume[:frontier])
 	st.CrawlProgress(cfg.Condition, frontier, len(sites), false)
 
 	cache := &progCache{progs: map[uint64]*jsvm.Program{}}
@@ -603,11 +538,6 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 		defer commitWG.Done()
 		pending := map[int]visitDone{}
 		next := frontier
-		seen := make(map[uint64]bool, len(resumeSeen))
-		seenOrder := append([]uint64(nil), resumeSeen...)
-		for _, k := range resumeSeen {
-			seen[k] = true
-		}
 		sinceCommit := 0
 		stopped := false
 		commitState := func(final bool) CommitState {
@@ -616,7 +546,6 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				Frontier:  next,
 				Total:     len(sites),
 				Pages:     res.Pages[:next],
-				ParseSeen: seenOrder,
 				Final:     final,
 			}
 		}
@@ -632,7 +561,7 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				}
 				delete(pending, next)
 				res.Pages[next] = nr.pr
-				nr.d.apply(mx, evs, cfg.Snapshots, seen, &seenOrder)
+				nr.d.apply(evs, cfg.Snapshots)
 				// Exemplar offers ride the ordered-commit point too, so
 				// the reservoir sees visits in page order at any width.
 				if cfg.Visits != nil && nr.d.trace != nil {
@@ -947,27 +876,12 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, cache *progCache, mx
 		}
 		if cfg.DisableParseCache {
 			prog, err = jsvm.Parse(body)
-			if mx != nil {
-				// Ablation parses bypass the cache: a miss every time.
-				d.forcedMisses++
-			}
 			if parseSp != nil {
 				parseSp.SetLabel("cache", "off")
 			}
 		} else {
-			var key uint64
 			var cached bool
-			prog, key, cached, err = cache.get(body)
-			if mx != nil {
-				if err != nil {
-					// Parse errors are never cached, so every lookup of an
-					// unparseable body misses — keep them out of the
-					// seen-set or repeats would count as hits.
-					d.forcedMisses++
-				} else {
-					d.parseKeys = append(d.parseKeys, key)
-				}
-			}
+			prog, cached, err = cache.get(body)
 			if parseSp != nil {
 				// Which worker parses first races across widths: exemplar
 				// annotation only, excluded from selection.

@@ -1,47 +1,63 @@
 package crawler
 
 import (
+	"encoding/json"
 	"testing"
 
+	"canvassing/internal/jsvm"
 	"canvassing/internal/obs"
 	"canvassing/internal/web"
 )
 
-// TestParseCacheHitRate is the parse-cache effectiveness contract:
-// vendor scripts are byte-identical across sites, so a multi-site
-// crawl must mostly hit the cache, and the ablation path must never
-// hit it.
-func TestParseCacheHitRate(t *testing.T) {
+// TestParseCacheSharesPrograms pins what the parse cache promises: a
+// repeated script body gets the one compiled *jsvm.Program back, an
+// unparseable body is never cached, and turning the cache off changes
+// nothing a crawl produces — the pages and the per-script step
+// histogram are byte-identical.
+func TestParseCacheSharesPrograms(t *testing.T) {
+	c := &progCache{progs: map[uint64]*jsvm.Program{}}
+	const body = "var x = 1; x + 1"
+	first, cached, err := c.get(body)
+	if err != nil || cached {
+		t.Fatalf("first lookup: cached=%v err=%v, want a fresh parse", cached, err)
+	}
+	again, cached, err := c.get(body)
+	if err != nil || !cached || again != first {
+		t.Fatalf("repeat lookup: cached=%v err=%v same=%v, want the cached program", cached, err, again == first)
+	}
+	if other, _, _ := c.get(body + ";"); other == first {
+		t.Fatal("a different body shared a program")
+	}
+	for i := 0; i < 2; i++ {
+		if _, cached, err := c.get("var = ;"); err == nil || cached {
+			t.Fatalf("unparseable body, lookup %d: cached=%v err=%v, want an uncached parse error", i, cached, err)
+		}
+	}
+
 	w := testWeb(t)
 	sites := append(w.CohortSites(web.Popular), w.CohortSites(web.Tail)...)
-
-	cfg := DefaultConfig()
-	cfg.Telemetry = obs.NewTelemetry()
-	Crawl(w, sites, cfg)
-	reg := cfg.Telemetry.Metrics
-	hits := reg.Counter("crawl.parsecache.hits").Value()
-	misses := reg.Counter("crawl.parsecache.misses").Value()
-	if hits+misses == 0 {
-		t.Fatal("no parse-cache lookups recorded")
+	crawl := func(disable bool) (pages, steps []byte) {
+		cfg := DefaultConfig()
+		cfg.Telemetry = obs.NewTelemetry()
+		cfg.DisableParseCache = disable
+		res := Crawl(w, sites, cfg)
+		h := cfg.Telemetry.Metrics.Snapshot().Histograms["jsvm.script.steps"]
+		if h.Count == 0 {
+			t.Fatal("no script steps recorded")
+		}
+		steps, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshalPages(t, res), steps
 	}
-	if rate, ok := CacheHitRate(reg); !ok || rate <= 0.5 {
-		t.Fatalf("hit rate = %.2f ok=%v (hits %d, misses %d), want ok and > 0.5", rate, ok, hits, misses)
+	pages, steps := crawl(false)
+	offPages, offSteps := crawl(true)
+	if string(offPages) != string(pages) {
+		t.Error("DisableParseCache changed the crawled pages")
 	}
-
-	cfg = DefaultConfig()
-	cfg.Telemetry = obs.NewTelemetry()
-	cfg.DisableParseCache = true
-	Crawl(w, sites, cfg)
-	// The ablation is a true 0% hit rate — lookups happened, all missed
-	// — which must stay distinguishable from "no lookups at all".
-	if rate, ok := CacheHitRate(cfg.Telemetry.Metrics); !ok || rate != 0 {
-		t.Fatalf("ablation hit rate = %.2f ok=%v, want ok and 0", rate, ok)
-	}
-	if parsed := cfg.Telemetry.Metrics.Counter("crawl.parsecache.misses").Value(); parsed == 0 {
-		t.Fatal("ablation crawl must still account every parse as a miss")
-	}
-	if _, ok := CacheHitRate(obs.NewRegistry()); ok {
-		t.Fatal("a registry with no lookups must report ok=false, not a 0%% rate")
+	if string(offSteps) != string(steps) {
+		t.Errorf("DisableParseCache changed jsvm.script.steps\n  on: %s\n off: %s", steps, offSteps)
 	}
 }
 

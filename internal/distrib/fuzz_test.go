@@ -8,7 +8,7 @@ import (
 
 // FuzzMergePartialBundles throws corrupted partial sets at MergeCrawl —
 // truncated, reordered, duplicated, condition-swapped, total-skewed,
-// cursor-corrupted, or dropped units — and holds the merge to its
+// machine-swapped, or dropped units — and holds the merge to its
 // contract: it either errors cleanly (no panic) or the accepted set
 // provably tiled the frontier exactly, with page order and counter
 // conservation intact. A silent partial merge is the failure mode this
@@ -28,15 +28,15 @@ func FuzzMergePartialBundles(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 3, 2, 0, 3, 0}) // page-count mismatch
 	f.Add([]byte{0, 4, 1, 0, 2, 0, 3, 0}) // condition swap
 	f.Add([]byte{0, 5, 1, 5, 2, 5, 3, 5}) // skewed totals, consistently
-	f.Add([]byte{0, 0, 1, 6, 2, 0, 3, 0}) // corrupted parse cursor
+	f.Add([]byte{0, 0, 1, 6, 2, 0, 3, 0}) // machine swap
 	f.Add([]byte{0, 7, 1, 0, 2, 0, 3, 0}) // dropped op
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const total = 40
 		base := []*Partial{
-			mkPartial("control", 0, 0, 10, total, 2, 1, []uint64{1}),
-			mkPartial("control", 1, 10, 20, total, 0, 0, []uint64{1, 2}),
-			mkPartial("control", 2, 20, 30, total, 1, 0, []uint64{2}),
-			mkPartial("control", 3, 30, 40, total, 0, 1, nil),
+			mkPartial("control", 0, 0, 10, total),
+			mkPartial("control", 1, 10, 20, total),
+			mkPartial("control", 2, 20, 30, total),
+			mkPartial("control", 3, 30, 40, total),
 		}
 		var sel []*Partial
 		if len(ops) == 0 {
@@ -70,9 +70,8 @@ func FuzzMergePartialBundles(f *testing.F) {
 			case 5:
 				cp.Spec.Total += 10
 			case 6:
-				// A first-seen cursor longer than the unit's miss count is
-				// impossible output; the merge must refuse it.
-				cp.ParseSeen = []uint64{9, 8, 7, 6, 5, 4, 3, 2, 1}
+				// A unit crawled on another machine cannot join the merge.
+				cp.Machine = "apple-m1"
 			case 7:
 				continue // dropped unit
 			}
@@ -94,7 +93,7 @@ func FuzzMergePartialBundles(f *testing.F) {
 		}
 		sort.Slice(specs, func(i, j int) bool { return specs[i].Start < specs[j].Start })
 		next := 0
-		var sumHM int64
+		var sumPages int64
 		for i, s := range specs {
 			if s.Condition != specs[0].Condition || s.Total != specs[0].Total || s.Start != next {
 				t.Fatalf("merge accepted a non-tiling: spec %d = %+v (next=%d)", i, s, next)
@@ -109,7 +108,7 @@ func FuzzMergePartialBundles(f *testing.F) {
 				t.Fatalf("merge accepted unit %s with %d pages for range [%d,%d)",
 					p.Spec.ID, len(p.Pages), p.Spec.Start, p.Spec.End)
 			}
-			sumHM += p.Metrics.Counters[parseCacheHits] + p.Metrics.Counters[parseCacheMisses]
+			sumPages += p.Metrics.Counters["crawl.pages"]
 		}
 		if len(m.Pages) != specs[0].Total {
 			t.Fatalf("merged %d pages of %d", len(m.Pages), specs[0].Total)
@@ -119,8 +118,8 @@ func FuzzMergePartialBundles(f *testing.F) {
 				t.Fatalf("merged page %d is %s, want %s — range order lost", i, p.Domain, want)
 			}
 		}
-		if got := m.Metrics.Counters[parseCacheHits] + m.Metrics.Counters[parseCacheMisses]; got != sumHM {
-			t.Fatalf("parse-cache totals not conserved: merged %d, parts %d", got, sumHM)
+		if got := m.Metrics.Counters["crawl.pages"]; got != sumPages {
+			t.Fatalf("counters not summed: merged crawl.pages %d, parts %d", got, sumPages)
 		}
 	})
 }

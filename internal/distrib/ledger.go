@@ -192,8 +192,8 @@ func LoadLedgerRecords(dir string) ([]UnitRecord, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("distrib: ledger: %w", err)
 	}
-	if st.Schema > SchemaVersion {
-		return nil, fmt.Errorf("distrib: ledger schema v%d is newer than supported v%d", st.Schema, SchemaVersion)
+	if st.Schema != SchemaVersion {
+		return nil, fmt.Errorf("distrib: ledger schema v%d is not the supported v%d", st.Schema, SchemaVersion)
 	}
 	return st.Units, nil
 }

@@ -17,7 +17,7 @@ import (
 
 // Partial is one work-unit's completed output: a partial bundle
 // (manifest, metrics snapshot, events) plus the crawl payload the
-// merge needs (pages, parse-cache cursor) and the optional sidecars
+// merge needs (pages) and the optional sidecars
 // (exemplar reservoir view, snapshot-store delta).
 type Partial struct {
 	Dir      string
@@ -32,10 +32,6 @@ type Partial struct {
 	// Pages are the unit's page results, Pages[i] being global page
 	// Spec.Start+i of the condition's frontier.
 	Pages []*crawler.PageResult
-	// ParseSeen is the unit's parse-cache first-seen cursor (script-body
-	// hashes in first-seen page order), from which the merge reconstructs
-	// the single-process hit/miss totals.
-	ParseSeen []uint64
 	// Machine and Extension identify the profile the unit crawled on.
 	Machine   string
 	Extension string
@@ -53,7 +49,6 @@ type unitPages struct {
 	Unit      string                `json:"unit"`
 	Machine   string                `json:"machine"`
 	Extension string                `json:"extension,omitempty"`
-	ParseSeen []uint64              `json:"parse_seen,omitempty"`
 	Pages     []*crawler.PageResult `json:"pages"`
 }
 
@@ -114,7 +109,6 @@ func WritePartial(dir string, p *Partial) error {
 		Unit:      p.Spec.ID,
 		Machine:   p.Machine,
 		Extension: p.Extension,
-		ParseSeen: p.ParseSeen,
 		Pages:     p.Pages,
 	}
 	pdata, err := json.MarshalIndent(pg, "", "  ")
@@ -160,8 +154,8 @@ func LoadPartial(dir string) (*Partial, error) {
 	if err := json.Unmarshal(pdata, &pg); err != nil {
 		return nil, fmt.Errorf("distrib: unit %s pages: %w", spec.ID, err)
 	}
-	if pg.Schema > SchemaVersion {
-		return nil, fmt.Errorf("distrib: unit %s pages schema v%d is newer than supported v%d", spec.ID, pg.Schema, SchemaVersion)
+	if pg.Schema != SchemaVersion {
+		return nil, fmt.Errorf("distrib: unit %s pages schema v%d is not the supported v%d", spec.ID, pg.Schema, SchemaVersion)
 	}
 	if pg.Unit != spec.ID {
 		return nil, fmt.Errorf("distrib: pages file in %s belongs to unit %s, not %s", dir, pg.Unit, spec.ID)
@@ -174,7 +168,7 @@ func LoadPartial(dir string) (*Partial, error) {
 			return nil, fmt.Errorf("distrib: unit %s page %d is missing", spec.ID, i)
 		}
 	}
-	p.Pages, p.ParseSeen = pg.Pages, pg.ParseSeen
+	p.Pages = pg.Pages
 	p.Machine, p.Extension = pg.Machine, pg.Extension
 	if spec.Study.TraceVisits {
 		ex, err := tracez.ReadExemplars(filepath.Join(dir, tracez.ExemplarsFile))

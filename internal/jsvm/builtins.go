@@ -78,7 +78,11 @@ func installBuiltins(in *Interp) {
 		if len(args) == 0 {
 			return String("undefined"), nil
 		}
-		return String(JSONStringify(args[0])), nil
+		s, err := JSONStringify(args[0])
+		if err != nil {
+			return Undefined(), err
+		}
+		return String(s), nil
 	})
 	in.SetGlobal("JSON", jsonObj)
 

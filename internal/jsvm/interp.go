@@ -8,7 +8,10 @@ import (
 // RuntimeError is a script-level failure (thrown value, type error, step
 // limit, unknown identifier).
 type RuntimeError struct {
-	Msg string
+	// Name is the error's name as a catch clause sees it ("" reads as
+	// "Error").
+	Name string
+	Msg  string
 }
 
 func (e *RuntimeError) Error() string { return "jsvm: " + e.Msg }
@@ -152,8 +155,12 @@ func errorValue(err error) Value {
 	if ts, ok := err.(thrownSignal); ok {
 		return ts.v
 	}
+	name := "Error"
+	if re, ok := err.(*RuntimeError); ok && re.Name != "" {
+		name = re.Name
+	}
 	obj := NewObject()
-	obj.Object().Props["name"] = String("Error")
+	obj.Object().Props["name"] = String(name)
 	obj.Object().Props["message"] = String(err.Error())
 	return obj
 }

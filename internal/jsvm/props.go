@@ -409,14 +409,7 @@ var arrayMethods = map[string]func(*Interp, Value, []Value) (Value, error){
 		if len(args) > 0 {
 			sep = args[0].Str()
 		}
-		to := this.Object()
-		parts := make([]string, len(to.Elems))
-		for i, e := range to.Elems {
-			if !e.IsNullish() {
-				parts[i] = e.Str()
-			}
-		}
-		return String(strings.Join(parts, sep)), nil
+		return String(joinArray(this.Object(), sep, nil)), nil
 	},
 	"indexOf": func(in *Interp, this Value, args []Value) (Value, error) {
 		to := this.Object()

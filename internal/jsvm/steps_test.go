@@ -163,6 +163,37 @@ func TestStepAccountingPins(t *testing.T) {
 	}
 }
 
+// cyclePins fixes how cyclic values render. Array-to-string renders an
+// array that contains itself as "" at the point of the cycle, as
+// browsers do; JSON.stringify of a cyclic value throws a TypeError.
+// Shared but acyclic values render in full each time.
+var cyclePins = []struct {
+	name  string
+	src   string
+	steps int
+	want  string
+}{
+	{"self-containing array to string", "var a = []; a[0] = a; a + ''", 11, ""},
+	{"self-containing array join", "var a = [1]; a.push(a); a.join('-')", 11, "1-"},
+	{"cycle through a nested array", "var a = [1, [2]]; a[1].push(a); String(a)", 15, "1,2,"},
+	{"cycle beside other elements", "var a = [1]; a.push([a, 3]); a + ''", 13, "1,,3"},
+	{"shared array is not a cycle", "var x = [1]; [x, x].join() + ':' + [x, [x]]", 15, "1,1:1,1"},
+	{"console.log of a cyclic array", "var a = []; a.push(a); console.log(a); 'logged'", 12, "logged"},
+	{"stringify self-referencing object", "var o = {}; o.self = o; JSON.stringify(o)", 10, "error: jsvm: TypeError: cyclic object value"},
+	{"stringify cycle through an object", "var a = []; a.push({k: a}); JSON.stringify(a)", 11, "error: jsvm: TypeError: cyclic object value"},
+	{"stringify cycle is catchable", "var o = {}; o.o = o; var r; try { JSON.stringify(o); } catch (e) { r = e.name + ':' + e.message; } r", 23, "TypeError:jsvm: TypeError: cyclic object value"},
+	{"stringify shared object", "var x = {v: 1}; JSON.stringify({a: x, b: [x, x]})", 11, `{"a":{"v":1},"b":[{"v":1},{"v":1}]}`},
+}
+
+func TestCyclicValues(t *testing.T) {
+	for _, c := range cyclePins {
+		got, steps := runPinned(0, c.src)
+		if got != c.want || steps != c.steps {
+			t.Errorf("%s: %q\n got %q in %d steps\nwant %q in %d steps", c.name, c.src, got, steps, c.want, c.steps)
+		}
+	}
+}
+
 // TestSharedProgramConcurrent runs one compiled Program on several
 // goroutines at once, each with its own interpreter, as crawler workers
 // share cached programs. Every run must match the serial run exactly;

@@ -185,13 +185,7 @@ func (v Value) Str() string {
 	case KindObject:
 		switch {
 		case v.obj.IsArray:
-			parts := make([]string, len(v.obj.Elems))
-			for i, e := range v.obj.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.Str()
-				}
-			}
-			return strings.Join(parts, ",")
+			return joinArray(v.obj, ",", nil)
 		case v.obj.fn != nil || v.obj.Native != nil:
 			return "function () { [code] }"
 		case v.obj.Host != nil:
@@ -204,6 +198,30 @@ func (v Value) Str() string {
 		}
 	}
 	return ""
+}
+
+// joinArray renders an array's elements joined by sep, nullish ones as
+// "". active holds the arrays already being rendered further up: an
+// array that contains itself renders as "" at the point of the cycle,
+// as browsers do, instead of recursing forever.
+func joinArray(o *Object, sep string, active []*Object) string {
+	for _, a := range active {
+		if a == o {
+			return ""
+		}
+	}
+	active = append(active, o)
+	parts := make([]string, len(o.Elems))
+	for i, e := range o.Elems {
+		switch {
+		case e.IsNullish():
+		case e.kind == KindObject && e.obj.IsArray:
+			parts[i] = joinArray(e.obj, ",", active)
+		default:
+			parts[i] = e.Str()
+		}
+	}
+	return strings.Join(parts, sep)
 }
 
 // formatNumber renders numbers the way JavaScript does: integers without
@@ -282,31 +300,45 @@ func LooseEquals(a, b Value) bool {
 
 // JSONStringify implements JSON.stringify for the supported value kinds.
 // Functions and host objects serialize as null (close enough to JS, which
-// drops/nulls them depending on position).
-func JSONStringify(v Value) string {
+// drops/nulls them depending on position). A cyclic value is a TypeError,
+// as in browsers.
+func JSONStringify(v Value) (string, error) { return jsonStringify(v, nil) }
+
+// jsonStringify serializes v; active holds the objects already being
+// serialized further up, so a value that contains itself is caught.
+func jsonStringify(v Value, active []*Object) (string, error) {
 	switch v.kind {
 	case KindUndefined:
-		return "undefined"
+		return "undefined", nil
 	case KindNull:
-		return "null"
+		return "null", nil
 	case KindBool, KindNumber:
-		return v.Str()
+		return v.Str(), nil
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str), nil
 	case KindObject:
 		if v.IsCallable() || v.obj.Host != nil {
-			return "null"
+			return "null", nil
 		}
+		for _, a := range active {
+			if a == v.obj {
+				return "", &RuntimeError{Name: "TypeError", Msg: "TypeError: cyclic object value"}
+			}
+		}
+		active = append(active, v.obj)
 		if v.obj.IsArray {
 			parts := make([]string, len(v.obj.Elems))
 			for i, e := range v.obj.Elems {
-				s := JSONStringify(e)
+				s, err := jsonStringify(e, active)
+				if err != nil {
+					return "", err
+				}
 				if s == "undefined" {
 					s = "null"
 				}
 				parts[i] = s
 			}
-			return "[" + strings.Join(parts, ",") + "]"
+			return "[" + strings.Join(parts, ",") + "]", nil
 		}
 		keys := make([]string, 0, len(v.obj.Props))
 		for k := range v.obj.Props {
@@ -317,7 +349,10 @@ func JSONStringify(v Value) string {
 		sb.WriteByte('{')
 		first := true
 		for _, k := range keys {
-			s := JSONStringify(v.obj.Props[k])
+			s, err := jsonStringify(v.obj.Props[k], active)
+			if err != nil {
+				return "", err
+			}
 			if s == "undefined" {
 				continue
 			}
@@ -328,7 +363,7 @@ func JSONStringify(v Value) string {
 			fmt.Fprintf(&sb, "%s:%s", strconv.Quote(k), s)
 		}
 		sb.WriteByte('}')
-		return sb.String()
+		return sb.String(), nil
 	}
-	return "null"
+	return "null", nil
 }

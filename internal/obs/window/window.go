@@ -167,7 +167,8 @@ type Snapshot struct {
 	// Counters with zero delta are omitted.
 	Rates map[string]float64 `json:"rates,omitempty"`
 	// Ratios are named error/hit ratios derived from counter deltas
-	// (retry ratio, timeout ratio, degraded ratio, cache hit rates).
+	// (retry ratio, timeout ratio, degraded ratio, analysis cache hit
+	// rate).
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 	// Durations maps histogram name to windowed latency stats.
 	// Histograms with no window observations are omitted.
@@ -261,8 +262,6 @@ func ratios(d map[string]int64) map[string]float64 {
 	frac("crawl.retry_ratio", d["crawl.retry"], visits)
 	frac("crawl.timeout_ratio", d["crawl.timeout"], visits)
 	frac("crawl.degraded_ratio", d["crawl.visits.degraded"], visits)
-	frac("crawl.parsecache.hit_ratio", d["crawl.parsecache.hits"],
-		d["crawl.parsecache.hits"]+d["crawl.parsecache.misses"])
 	frac("analysis.cache.hit_ratio", d["analysis.cache.hits"],
 		d["analysis.cache.hits"]+d["analysis.cache.misses"])
 	if len(out) == 0 {

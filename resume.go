@@ -117,9 +117,9 @@ func Resume(dir string) (*Study, error) {
 }
 
 // crawlCursor reads one condition's continuation state out of a
-// checkpoint: (true, nil) for a completed crawl, (false, rs) for a
+// checkpoint: (true, nil) for a completed crawl, (false, pages) for a
 // partial one, (false, nil) for one that never started.
-func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, rs *crawler.ResumeState) {
+func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, pages []*crawler.PageResult) {
 	cs := cp.Crawl(cond)
 	if cs == nil {
 		return false, nil
@@ -127,7 +127,7 @@ func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, rs *crawler
 	if cs.Done {
 		return true, nil
 	}
-	return false, &crawler.ResumeState{Pages: cs.Pages, ParseSeen: cs.ParseSeen}
+	return false, cs.Pages
 }
 
 // restoreResult rebuilds a completed crawl's Result from its

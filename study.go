@@ -296,8 +296,8 @@ func (s *Study) crawlConfig(condition string) crawler.Config {
 // attachCheckpoint arms one cohort crawl with the study's checkpoint
 // hook. The demo ground-truth harvest is never checkpointed — it runs
 // inside the analyze phase, whose checkpoints are phase-boundary only.
-func (s *Study) attachCheckpoint(cfg *crawler.Config, rs *crawler.ResumeState) {
-	cfg.Resume = rs
+func (s *Study) attachCheckpoint(cfg *crawler.Config, resume []*crawler.PageResult) {
+	cfg.Resume = resume
 	if s.ckpt == nil {
 		return
 	}
@@ -343,10 +343,10 @@ func (s *Study) analyzeAll(pages []*crawler.PageResult, cond string) []detect.Si
 // RunControl performs the control crawl over both cohorts.
 func (s *Study) RunControl() { s.runControl(nil) }
 
-func (s *Study) runControl(rs *crawler.ResumeState) {
+func (s *Study) runControl(resume []*crawler.PageResult) {
 	defer s.tel.Tracer.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
 	cfg := s.crawlConfig(CondControl)
-	s.attachCheckpoint(&cfg, rs)
+	s.attachCheckpoint(&cfg, resume)
 	s.Control = crawler.Crawl(s.Web, s.crawlSites, cfg)
 	if s.Control.Interrupted {
 		s.Halted = true
@@ -395,10 +395,10 @@ func (s *Study) RunAdblock() {
 	ubo.End()
 }
 
-func (s *Study) runABP(rs *crawler.ResumeState) {
+func (s *Study) runABP(resume []*crawler.PageResult) {
 	cfg := s.crawlConfig(CondABP)
 	cfg.Extension = newABP(s.Lists)
-	s.attachCheckpoint(&cfg, rs)
+	s.attachCheckpoint(&cfg, resume)
 	s.ABP = crawler.Crawl(s.Web, s.crawlSites, cfg)
 	if s.ABP.Interrupted {
 		s.Halted = true
@@ -412,10 +412,10 @@ func (s *Study) analyzeABP() {
 	s.finishPhase(PhaseAnalyzeABP)
 }
 
-func (s *Study) runUBO(rs *crawler.ResumeState) {
+func (s *Study) runUBO(resume []*crawler.PageResult) {
 	cfg := s.crawlConfig(CondUBO)
 	cfg.Extension = newUBO(s.Lists)
-	s.attachCheckpoint(&cfg, rs)
+	s.attachCheckpoint(&cfg, resume)
 	s.UBO = crawler.Crawl(s.Web, s.crawlSites, cfg)
 	if s.UBO.Interrupted {
 		s.Halted = true
@@ -439,10 +439,10 @@ func (s *Study) RunM1() {
 	s.analyzeM1()
 }
 
-func (s *Study) runM1Crawl(rs *crawler.ResumeState) {
+func (s *Study) runM1Crawl(resume []*crawler.PageResult) {
 	cfg := s.crawlConfig(CondM1)
 	cfg.Profile = machine.AppleM1()
-	s.attachCheckpoint(&cfg, rs)
+	s.attachCheckpoint(&cfg, resume)
 	s.M1 = crawler.Crawl(s.Web, s.crawlSites, cfg)
 	if s.M1.Interrupted {
 		s.Halted = true
