@@ -66,7 +66,9 @@ resume-smoke:
 
 # trace-smoke is the shell-level tracescope check: run a small traced
 # study with -outdir, then require tracescope to produce a critical
-# path and a non-empty exemplar reservoir from the run dir.
+# path and a non-empty exemplar reservoir from the run dir. A second
+# run without -tracez has no exemplar sidecar, so tracescope must get
+# the critical path from trace.jsonl alone.
 TSMOKE := .trace-smoke
 trace-smoke:
 	rm -rf $(TSMOKE)
@@ -79,8 +81,11 @@ trace-smoke:
 	$(TSMOKE)/tracescope $(TSMOKE)/run | grep -q "Slowest visits"
 	$(TSMOKE)/tracescope -folded $(TSMOKE)/folded.txt $(TSMOKE)/run >/dev/null 2>&1
 	grep -q "^visits;control;visit" $(TSMOKE)/folded.txt
+	$(TSMOKE)/repro -seed 5 -scale 0.02 -exp compare -outdir $(TSMOKE)/plain >/dev/null
+	test ! -e $(TSMOKE)/plain/trace_exemplars.jsonl
+	$(TSMOKE)/tracescope $(TSMOKE)/plain | grep -q "Critical path: crawl"
 	rm -rf $(TSMOKE)
-	@echo "trace-smoke: tracescope reports a critical path and exemplar visits from a traced run dir"
+	@echo "trace-smoke: tracescope reports a critical path and exemplar visits from a traced run dir, and a critical path from trace.jsonl alone"
 
 # serve-smoke is the shell-level check on the verdict service: run a
 # small study, serve its bundle on a free port, probe every endpoint

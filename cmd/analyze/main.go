@@ -58,7 +58,7 @@ func main() {
 		defer f.Close()
 		src = f
 	}
-	sp := tel.Tracer.Start("read-input")
+	sp := tel.Phases.Start("read-input")
 	var pages []*crawler.PageResult
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 1<<20), 64<<20)
@@ -103,7 +103,7 @@ func main() {
 	}
 	fmt.Println(t.String())
 
-	sp = tel.Tracer.Start("cluster")
+	sp = tel.Phases.Start("cluster")
 	cl := cluster.BuildEvents(sites, tel.Events)
 	sp.End()
 	fmt.Printf("canvas groups: %d (popular-unique %d, tail-unique %d)\n\n",
@@ -126,7 +126,7 @@ func main() {
 		if err := bundle.Write(cli.OutDir, m, tel); err != nil {
 			log.Fatal(err)
 		}
-		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits, tel.Tracer.Records()); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)

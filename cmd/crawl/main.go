@@ -141,7 +141,7 @@ func main() {
 		tel.Events.Restore(cp.Events, cp.EventsSeq, cp.EventsDropped)
 	}
 
-	sp := tel.Tracer.Start("webgen")
+	sp := tel.Phases.Start("webgen")
 	w := web.Generate(web.Config{Seed: *seed, Scale: *scale, TrancoMax: 1_000_000, Interact: *interact})
 	sp.End()
 
@@ -243,7 +243,7 @@ func main() {
 	}
 
 	cfg.Telemetry = tel
-	sp = tel.Tracer.Start("crawl", "machine", *machineName, "adblock", *blocker)
+	sp = tel.Phases.Start("crawl", "machine", *machineName, "adblock", *blocker)
 	res := crawler.Crawl(w, sites, cfg)
 	sp.End()
 	if !res.Interrupted {
@@ -290,7 +290,7 @@ func main() {
 		if err := bundle.Write(cli.OutDir, m, tel); err != nil {
 			log.Fatal(err)
 		}
-		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits, tel.Tracer.Records()); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)

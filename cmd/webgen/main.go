@@ -43,7 +43,7 @@ func main() {
 	defer plane.Close()
 	tel.Status.MarkRunning()
 
-	sp := tel.Tracer.Start("webgen")
+	sp := tel.Phases.Start("webgen")
 	w := web.Generate(web.Config{Seed: *seed, Scale: *scale, TrancoMax: 1_000_000})
 	sp.End()
 

@@ -150,7 +150,7 @@ func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl 
 		if label == "" {
 			label = "unlabeled"
 		}
-		sp = ex.tel.Tracer.Start("analyze."+label,
+		sp = ex.tel.Phases.Start("analyze."+label,
 			"pages", fmt.Sprint(n), "workers", fmt.Sprint(workers), "shards", fmt.Sprint(numShards))
 	}
 

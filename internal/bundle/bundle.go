@@ -22,9 +22,11 @@ import (
 
 // SchemaVersion is the bundle layout version, independent of the event
 // wire schema (which travels in Manifest.EventSchema). v2 records the
-// metric set without the crawler's parse-cache hit/miss counters; v1
-// bundles still load.
-const SchemaVersion = 2
+// metric set without the crawler's parse-cache hit/miss counters; v3
+// writes trace.jsonl as one span tree per root phase instead of flat
+// span records. v1 and v2 bundles still load (Load does not read
+// trace.jsonl).
+const SchemaVersion = 3
 
 // Well-known file names inside a bundle directory.
 const (
@@ -88,7 +90,7 @@ func Write(dir string, m Manifest, tel *obs.Telemetry) error {
 	if err := os.WriteFile(filepath.Join(dir, MetricsDeterministicFile), det, 0o644); err != nil {
 		return fmt.Errorf("bundle: %w", err)
 	}
-	if err := writeWith(filepath.Join(dir, TraceFile), tel.Tracer.WriteJSONL); err != nil {
+	if err := writeWith(filepath.Join(dir, TraceFile), tel.Phases.WriteJSONL); err != nil {
 		return err
 	}
 	return writeWith(filepath.Join(dir, EventsFile), tel.Events.WriteJSONL)

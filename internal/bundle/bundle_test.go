@@ -19,7 +19,7 @@ func fixtureTelemetry() *obs.Telemetry {
 	tel := obs.NewTelemetry()
 	tel.Metrics.Counter("crawl.visits.ok").Add(7)
 	tel.Metrics.Histogram("crawl.visit.seconds", obs.LatencyBuckets()).Observe(0.25)
-	sp := tel.Tracer.Start("crawl")
+	sp := tel.Phases.Start("crawl")
 	sp.End()
 	for _, e := range []event.Event{
 		{Kind: event.DetectClassify, Crawl: "control", Site: "a.com", Subject: "h1", Verdict: "fingerprintable"},
@@ -102,9 +102,11 @@ func TestLoadRejectsNewerSchema(t *testing.T) {
 		t.Fatalf("newer bundle schema must be rejected, got %v", err)
 	}
 	// Older bundles stay readable.
-	setSchema(1)
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("v1 bundle must still load, got %v", err)
+	for v := 1; v < SchemaVersion; v++ {
+		setSchema(v)
+		if _, err := Load(dir); err != nil {
+			t.Fatalf("v%d bundle must still load, got %v", v, err)
+		}
 	}
 }
 

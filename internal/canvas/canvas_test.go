@@ -643,3 +643,46 @@ func BenchmarkFingerprintCanvas(b *testing.B) {
 		_ = e.ToDataURL("", 0)
 	}
 }
+
+// TestOversizedCanvasGetsEmptyBitmap: a side past maxSide or an area
+// past maxArea allocates no bitmap. Drawing on it is a no-op and
+// toDataURL gives the fixed "data:,"; the attributes keep the values
+// the script set. A canvas at the caps is still backed.
+func TestOversizedCanvasGetsEmptyBitmap(t *testing.T) {
+	for _, size := range [][2]int{{1_000_000_000, 150}, {300, maxSide + 1}, {4097, 4096}} {
+		e := New(nil)
+		e.SetWidth(size[0])
+		e.SetHeight(size[1])
+		if img := e.Image(); img.W != 0 || img.H != 0 || len(img.Pix) != 0 {
+			t.Fatalf("%dx%d canvas allocated a %dx%d bitmap", size[0], size[1], img.W, img.H)
+		}
+		if e.Width() != size[0] || e.Height() != size[1] {
+			t.Fatalf("attributes = %dx%d, want %dx%d", e.Width(), e.Height(), size[0], size[1])
+		}
+		ctx := e.GetContext("2d")
+		ctx.SetFillStyle("#f00")
+		ctx.FillRect(0, 0, 50, 50)
+		for _, format := range []string{"", "image/jpeg"} {
+			if got := e.ToDataURL(format, 0); got != "data:," {
+				t.Fatalf("%dx%d toDataURL(%q) = %.40q, want data:,", size[0], size[1], format, got)
+			}
+		}
+		for _, d := range []*ImageData{ctx.GetImageData(0, 0, size[0], size[1]), ctx.CreateImageData(size[0], size[1])} {
+			if d.W != 0 || len(d.Pix) != 0 {
+				t.Fatalf("image data of %dx%d = %dx%d, want empty", size[0], size[1], d.W, d.H)
+			}
+		}
+	}
+
+	// The caps are inclusive, and shrinking an oversized canvas brings
+	// its bitmap back.
+	if !bitmapFits(4096, 4096) || !bitmapFits(maxSide, 1) || bitmapFits(maxSide+1, 1) || bitmapFits(4097, 4096) {
+		t.Fatal("bitmap caps must admit exactly sides <= 32767 and areas <= 4096*4096")
+	}
+	e := New(nil)
+	e.SetWidth(maxSide + 1)
+	e.SetWidth(300)
+	if e.Image().W != 300 || !strings.HasPrefix(e.ToDataURL("", 0), "data:image/png;base64,") {
+		t.Fatal("a canvas shrunk back under the caps must be backed and encode again")
+	}
+}

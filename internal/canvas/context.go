@@ -771,10 +771,11 @@ type ImageData struct {
 }
 
 // GetImageData copies pixels out of the canvas, as ctx.getImageData.
-// The element's extraction hook (randomization defense) applies.
+// The element's extraction hook (randomization defense) applies. A
+// region past the bitmap caps gives empty data.
 func (c *Context2D) GetImageData(x, y, w, h int) *ImageData {
 	c.trace("getImageData", []string{fmt.Sprint(x), fmt.Sprint(y), fmt.Sprint(w), fmt.Sprint(h)}, "")
-	if w <= 0 || h <= 0 {
+	if w <= 0 || h <= 0 || !bitmapFits(w, h) {
 		return &ImageData{}
 	}
 	src := c.el.img
@@ -816,6 +817,9 @@ func (c *Context2D) CreateImageData(w, h int) *ImageData {
 	}
 	if h < 0 {
 		h = 0
+	}
+	if !bitmapFits(w, h) {
+		return &ImageData{}
 	}
 	return &ImageData{W: w, H: h, Pix: make([]uint8, w*h*4)}
 }

@@ -56,6 +56,20 @@ const (
 	defaultH = 150
 )
 
+// maxSide and maxArea bound a canvas bitmap; the area cap is Safari's,
+// the smallest any browser enforces. As in browsers, a larger canvas
+// gets an empty bitmap, and toDataURL gives emptyDataURL for it.
+const (
+	maxSide      = 32767
+	maxArea      = 16_777_216
+	emptyDataURL = "data:,"
+)
+
+// bitmapFits reports whether a w×h bitmap is within the caps.
+func bitmapFits(w, h int) bool {
+	return w <= maxSide && h <= maxSide && w*h <= maxArea
+}
+
 // New returns a canvas of the HTML default size (300×150) rendered on the
 // given machine profile. A nil profile uses the Intel reference machine.
 func New(profile *machine.Profile) *Element {
@@ -121,7 +135,11 @@ func (e *Element) SetHeight(h int) {
 }
 
 func (e *Element) resetBitmap() {
-	e.img = raster.NewImage(e.width, e.height)
+	w, h := e.width, e.height
+	if !bitmapFits(w, h) {
+		w, h = 0, 0
+	}
+	e.img = raster.NewImage(w, h)
 	if e.ctx != nil {
 		e.ctx.resetState()
 	}
@@ -157,8 +175,13 @@ func (e *Element) Image() *raster.Image { return e.img }
 
 // ToDataURL encodes the current bitmap as a data: URL. The format string
 // follows toDataURL's first argument ("" means PNG); quality applies to
-// lossy formats with <=0 selecting the 0.92 default.
+// lossy formats with <=0 selecting the 0.92 default. A canvas with an
+// empty bitmap gives "data:,", as browsers do.
 func (e *Element) ToDataURL(format string, quality float64) string {
+	if e.img.W == 0 || e.img.H == 0 {
+		e.trace("toDataURL", []string{format}, emptyDataURL)
+		return emptyDataURL
+	}
 	f := imaging.ParseFormat(format)
 	img := e.img
 	if e.extractHook != nil {

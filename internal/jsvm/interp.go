@@ -40,6 +40,11 @@ func isControlFlow(err error) bool {
 	return err == errBreak || err == errContinue || err == errReturn
 }
 
+// maxCallDepth bounds nested script-function calls, near the depth
+// browsers allow. Deeper recursion fails with a catchable RangeError
+// instead of overflowing the Go stack, which would end the process.
+const maxCallDepth = 10_000
+
 // Options configures an interpreter instance.
 type Options struct {
 	// MaxSteps bounds evaluation steps; <=0 selects the default of 5M.
@@ -61,6 +66,7 @@ type Interp struct {
 	ret      Value   // value of the return statement being unwound
 	methods  []Value // built-in method natives, made on first use
 	stack    []Value // arguments of the script and built-in calls in progress
+	depth    int     // script-function calls in progress
 	// ConsoleLog receives console.log lines (joined with spaces).
 	ConsoleLog []string
 }
@@ -207,6 +213,11 @@ func (in *Interp) call(fn, this Value, args []code, f *frame) (Value, error) {
 
 // callFunction runs a compiled script function in a new frame.
 func (in *Interp) callFunction(fn Value, this Value, args []Value) (Value, error) {
+	if in.depth >= maxCallDepth {
+		return Undefined(), &RuntimeError{Name: "RangeError", Msg: "Maximum call stack size exceeded"}
+	}
+	in.depth++
+	defer func() { in.depth-- }()
 	o := fn.obj
 	def := o.fn
 	fr := newFrame(in, o.env, def.slots)

@@ -26,10 +26,29 @@ func Parse(src string) (*Program, error) {
 	return &Program{code: compileProgram(body)}, nil
 }
 
+// maxNesting bounds how deeply statements and expressions may nest
+// (each nested statement, assignment and unary operand counts one
+// level). The parser and the compiler recurse once per level, so input
+// nested deeper fails with a SyntaxError instead of overflowing the Go
+// stack, which would end the process.
+const maxNesting = 2_000
+
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int
 }
+
+// enter descends one nesting level; pair it with a deferred leave.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errHere(fmt.Sprintf("nesting deeper than %d levels", maxNesting))
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -63,6 +82,10 @@ func (p *parser) errHere(msg string) error {
 // --- statements ---
 
 func (p *parser) statement() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.kind == tKeyword && (t.text == "var" || t.text == "let" || t.text == "const"):
@@ -390,6 +413,10 @@ func (p *parser) expression() (Expr, error) {
 }
 
 func (p *parser) assignment() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	// Arrow functions: ident => ... or (params) => ...
 	if fn, ok, err := p.tryArrow(); err != nil {
 		return nil, err
@@ -555,6 +582,10 @@ func (p *parser) binaryExpr(minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.kind == tPunct && (t.text == "!" || t.text == "-" || t.text == "+" || t.text == "~" || t.text == "++" || t.text == "--") {
 		p.next()

@@ -46,7 +46,7 @@ type CLI struct {
 func BindCLI(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fs.BoolVar(&c.Metrics, "metrics", false, "print the metrics snapshot and phase timings after the run")
-	fs.StringVar(&c.Trace, "trace", "", "write the span trace as JSON lines to this path")
+	fs.StringVar(&c.Trace, "trace", "", "write the phase span trees as JSON lines (the trace.jsonl format) to this path")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve the live ops plane plus /debug/pprof on this address during the run")
 	fs.StringVar(&c.Status, "status", "", "serve the live ops plane (/statusz, /healthz, /readyz, /metrics.prom, /red, ...) on this address during the run")
 	fs.DurationVar(&c.Window, "window", 0, "sliding window for the live RED metric views (default 1m)")
@@ -91,7 +91,8 @@ func BindFaultCLI(fs *flag.FlagSet) *FaultCLI {
 	return c
 }
 
-// WriteTrace writes the span-trace export when -trace was given.
+// WriteTrace writes the phase trees as trace.jsonl-format JSON lines
+// when -trace was given.
 func (c *CLI) WriteTrace(tel *Telemetry) error {
 	if c.Trace == "" {
 		return nil
@@ -101,21 +102,21 @@ func (c *CLI) WriteTrace(tel *Telemetry) error {
 		return err
 	}
 	defer f.Close()
-	if err := tel.Tracer.WriteJSONL(f); err != nil {
+	if err := tel.Phases.WriteJSONL(f); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "telemetry: wrote span trace to %s\n", c.Trace)
 	return nil
 }
 
-// PrintMetrics renders the phase-timing listing and metrics snapshot
-// to w when -metrics was given.
+// PrintMetrics renders the phase-timing table and metrics snapshot to
+// w when -metrics was given.
 func (c *CLI) PrintMetrics(tel *Telemetry, w io.Writer) {
 	if !c.Metrics {
 		return
 	}
-	fmt.Fprintln(w, "\nPhase timings")
-	fmt.Fprint(w, tel.Tracer.RenderPhases())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, tel.Phases.Table())
 	fmt.Fprintln(w)
 	fmt.Fprint(w, tel.Metrics.RenderText())
 }

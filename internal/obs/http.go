@@ -17,14 +17,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler serves finished spans as JSON lines.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = t.WriteJSONL(w)
-	})
-}
-
 // Route is one endpoint on the debug/ops mux. Extras passed to NewMux
 // are registered alongside the built-in endpoints and listed on the
 // root index page, so subpackages (prom exposition, windowed RED
@@ -53,7 +45,11 @@ func NewMux(tel *Telemetry, withPprof bool, extras ...Route) *http.ServeMux {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 				_, _ = w.Write([]byte(tel.Metrics.RenderText()))
 			})},
-		{Pattern: "/spans", Desc: "finished span trace (JSON lines)", Handler: tel.Tracer.Handler()},
+		{Pattern: "/spans", Desc: "finished phase span trees, one per line (trace.jsonl format)",
+			Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				_ = tel.Phases.WriteJSONL(w)
+			})},
 		{Pattern: "/events", Desc: "decision-evidence event log (JSON lines)",
 			Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "application/x-ndjson")

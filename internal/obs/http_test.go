@@ -11,7 +11,7 @@ import (
 func TestMuxEndpoints(t *testing.T) {
 	tel := NewTelemetry()
 	tel.Metrics.Counter("crawl.visits").Add(7)
-	tel.Tracer.Start("crawl").End()
+	tel.Phases.Start("crawl").End()
 	mux := NewMux(tel, true)
 
 	get := func(path string) *httptest.ResponseRecorder {

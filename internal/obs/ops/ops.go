@@ -1,11 +1,12 @@
 // Package ops assembles the production ops plane: it wires the obs
 // debug mux together with the Prometheus exposition endpoint
 // (internal/obs/prom), the sliding-window RED views
-// (internal/obs/window), and the live /statusz run-status page fed by
-// the obs.Status tracker.
+// (internal/obs/window), the live /statusz run-status page fed by the
+// obs.Status tracker and the phase recorder, and the /tracez view over
+// the phase forest and the exemplar reservoir.
 //
 // The split exists to keep import edges acyclic: obs knows nothing of
-// prom or window (both import obs), so this package is where the three
+// prom or window (both import obs), so this package is where they
 // meet. Binaries call Start with their parsed obs.CLI and get the
 // whole surface — or nothing, when no serving flag was given.
 //
@@ -31,17 +32,14 @@ import (
 	"canvassing/internal/obs/window"
 )
 
-// ActiveSpan is one currently-open tracer span as /statusz reports it.
-type ActiveSpan struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
 // Statusz is the /statusz JSON payload: the status tracker's snapshot
-// plus the wall-clock extras computed at serve time (windowed visit
-// rate, ETA for the active crawl, open spans).
+// plus what is computed at serve time (the phase ledger derived from
+// the phase forest, windowed visit rate, ETA for the active crawl,
+// open spans).
 type Statusz struct {
 	obs.StatusSnapshot
+	// Phases is the phase ledger, derived from the root phase spans.
+	Phases []obs.PhaseStatus `json:"phases,omitempty"`
 	// VisitRatePerSec is the windowed page visit rate (ok + failed).
 	VisitRatePerSec float64 `json:"visit_rate_per_sec"`
 	// ETACondition / ETASeconds estimate completion of the first
@@ -49,25 +47,21 @@ type Statusz struct {
 	// crawl is active or the rate is zero.
 	ETACondition string  `json:"eta_condition,omitempty"`
 	ETASeconds   float64 `json:"eta_seconds,omitempty"`
-	// ActiveSpans lists currently-open tracer spans, outermost first.
-	ActiveSpans []ActiveSpan `json:"active_spans,omitempty"`
+	// ActiveSpans lists currently-open phase spans in start order,
+	// each with its wall time so far.
+	ActiveSpans []tracez.Span `json:"active_spans,omitempty"`
 }
 
 // BuildStatusz assembles the payload from the telemetry bundle and
 // windowed view (view may be nil: rate and ETA stay zero).
 func BuildStatusz(tel *obs.Telemetry, view *window.View) Statusz {
-	st := Statusz{StatusSnapshot: tel.Status.Snapshot()}
+	st := Statusz{StatusSnapshot: tel.Status.Snapshot(), Phases: tel.Phases.Ledger(), ActiveSpans: tel.Phases.Active()}
 	if view != nil {
 		st.VisitRatePerSec = view.VisitRate()
 	}
 	if crawl, ok := tel.Status.ActiveCrawl(); ok && st.VisitRatePerSec > 0 {
 		st.ETACondition = crawl.Condition
 		st.ETASeconds = float64(crawl.Total-crawl.Frontier) / st.VisitRatePerSec
-	}
-	for _, sp := range tel.Tracer.Active() {
-		st.ActiveSpans = append(st.ActiveSpans, ActiveSpan{
-			Name: sp.Name, Seconds: sp.Duration.Seconds(),
-		})
 	}
 	return st
 }
@@ -83,7 +77,7 @@ func Routes(tel *obs.Telemetry, view *window.View, visits *tracez.Reservoir) []o
 		{Pattern: "/statusz", Desc: "live run status: phases, crawl frontier, ETA (JSON; HTML for browsers)",
 			Handler: statuszHandler(tel, view)},
 		{Pattern: "/tracez", Desc: "trace analytics: critical path, phase attribution, slowest-visit exemplars (JSON; HTML for browsers)",
-			Handler: tracez.Handler(tel, visits)},
+			Handler: tracezHandler(tel, visits)},
 	}
 }
 
@@ -122,6 +116,30 @@ func statuszHandler(tel *obs.Telemetry, view *window.View) http.Handler {
 	})
 }
 
+// tracezHandler serves the live trace-analytics view — JSON by
+// default, an HTML slowest-visits dashboard for browsers. A nil
+// reservoir (visit tracing disabled) answers 404 so probes can tell
+// the feature is off, matching the /red convention.
+func tracezHandler(tel *obs.Telemetry, visits *tracez.Reservoir) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if visits == nil {
+			http.Error(w, "visit tracing disabled (run with -tracez)", http.StatusNotFound)
+			return
+		}
+		p := tracez.Payload{
+			CriticalPath: tracez.Analyze(tel.Phases.Forest()),
+			Conditions:   visits.Snapshot(),
+		}
+		if obs.WantsHTML(r) {
+			w.Header().Set("Content-Type", "text/html; charset=utf-8")
+			tracez.WriteHTML(w, p)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		writeJSON(w, p)
+	})
+}
+
 func writeStatuszHTML(w http.ResponseWriter, st Statusz) {
 	fmt.Fprint(w, "<!DOCTYPE html><html><head><title>canvassing /statusz</title></head><body>")
 	fmt.Fprintf(w, "<h1>run status: %s</h1>", st.State)
@@ -153,7 +171,7 @@ func writeStatuszHTML(w http.ResponseWriter, st Statusz) {
 	if len(st.ActiveSpans) > 0 {
 		fmt.Fprint(w, "<h2>active spans</h2><ul>")
 		for _, sp := range st.ActiveSpans {
-			fmt.Fprintf(w, "<li><code>%s</code> %.3fs</li>", sp.Name, sp.Seconds)
+			fmt.Fprintf(w, "<li><code>%s</code> %.3fs</li>", sp.Name, sp.Wall.Seconds())
 		}
 		fmt.Fprint(w, "</ul>")
 	}

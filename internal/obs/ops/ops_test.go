@@ -3,15 +3,18 @@ package ops
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/prom"
+	"canvassing/internal/obs/tracez"
 	"canvassing/internal/obs/window"
 )
 
@@ -103,7 +106,7 @@ func TestStatuszJSONWithETA(t *testing.T) {
 	tel.Metrics.Counter("crawl.visits.ok").Add(100)
 	view.SampleAt(t0.Add(10 * time.Second))
 
-	sp := tel.Tracer.Start("crawl")
+	sp := tel.Phases.Start("crawl")
 	defer sp.End()
 
 	code, body := get(t, srv.URL+"/statusz")
@@ -135,7 +138,8 @@ func TestStatuszJSONWithETA(t *testing.T) {
 	if !found {
 		t.Fatalf("open span missing from ActiveSpans: %+v", st.ActiveSpans)
 	}
-	// Phase ledger fed by the span observer: the open root span appears.
+	// Phase ledger derived from the phase forest: the open root span
+	// appears as running.
 	running := false
 	for _, p := range st.Phases {
 		if p.Name == "crawl" && p.State == "running" {
@@ -144,6 +148,66 @@ func TestStatuszJSONWithETA(t *testing.T) {
 	}
 	if !running {
 		t.Fatalf("phase ledger = %+v, want crawl running", st.Phases)
+	}
+}
+
+// TestSpansWhileStatuszAndTracezRead opens and ends phase spans on
+// several goroutines while /statusz, /tracez and /spans read the phase
+// forest. Run under -race. The final ledger and critical-path report
+// must account for every span.
+func TestSpansWhileStatuszAndTracezRead(t *testing.T) {
+	tel := obs.NewTelemetry()
+	srv := httptest.NewServer(NewMux(tel, false, nil, tracez.NewReservoir(1, 2, 2)))
+	defer srv.Close()
+	const writers, perW = 4, 50
+	var spans, readers sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		spans.Add(1)
+		go func(w int) {
+			defer spans.Done()
+			for i := 0; i < perW; i++ {
+				root := tel.Phases.Start(fmt.Sprintf("crawl.w%d", w))
+				root.StartChild("visit").End()
+				root.End()
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	for _, path := range []string{"/statusz", "/tracez", "/spans"} {
+		readers.Add(1)
+		go func(path string) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if res, err := http.Get(srv.URL + path); err == nil {
+					io.Copy(io.Discard, res.Body)
+					res.Body.Close()
+				}
+			}
+		}(path)
+	}
+	spans.Wait()
+	close(done)
+	readers.Wait()
+
+	var st Statusz
+	var tz tracez.Payload
+	_, body := get(t, srv.URL+"/statusz")
+	if err := json.Unmarshal([]byte(body), &st); err != nil || len(st.Phases) != writers || len(st.ActiveSpans) != 0 {
+		t.Fatalf("statusz = %+v (%v)", st, err)
+	}
+	for _, p := range st.Phases {
+		if p.State != "done" || p.Runs != perW {
+			t.Fatalf("phase %+v, want done with %d runs", p, perW)
+		}
+	}
+	_, body = get(t, srv.URL+"/tracez")
+	if err := json.Unmarshal([]byte(body), &tz); err != nil || tz.CriticalPath.Roots != writers*perW {
+		t.Fatalf("/tracez roots = %d (%v), want %d", tz.CriticalPath.Roots, err, writers*perW)
 	}
 }
 

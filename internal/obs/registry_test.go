@@ -82,7 +82,7 @@ func TestConcurrentExactness(t *testing.T) {
 	const goroutines = 16
 	const perG = 10_000
 	r := NewRegistry()
-	tr := NewTracer()
+	phases := NewPhases()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -95,7 +95,7 @@ func TestConcurrentExactness(t *testing.T) {
 				r.Gauge("depth").Add(1)
 				r.Histogram("lat", []float64{0.25, 0.5, 0.75}).Observe(float64(i%100) / 100)
 				if i%1000 == 0 {
-					sp := tr.Start("work")
+					sp := phases.Start("work")
 					sp.StartChild("inner").End()
 					sp.End()
 				}
@@ -122,9 +122,15 @@ func TestConcurrentExactness(t *testing.T) {
 	if bucketSum != want {
 		t.Fatalf("bucket counts sum to %d, want %d", bucketSum, want)
 	}
-	wantSpans := goroutines * (perG / 1000) * 2
-	if got := len(tr.Records()); got != wantSpans {
-		t.Fatalf("spans lost: %d, want %d", got, wantSpans)
+	wantRoots := goroutines * (perG / 1000)
+	forest := phases.Forest()
+	if len(forest) != wantRoots {
+		t.Fatalf("spans lost: %d roots, want %d", len(forest), wantRoots)
+	}
+	for _, r := range forest {
+		if len(r.Children) != 1 {
+			t.Fatalf("child spans lost: %+v", r)
+		}
 	}
 }
 

@@ -31,8 +31,6 @@ func TestStatusNilSafe(t *testing.T) {
 	s.MarkRunning()
 	s.MarkDone()
 	s.MarkFailed()
-	s.SpanStarted("x", true)
-	s.SpanEnded("x", true, time.Second)
 	s.CrawlProgress("control", 1, 2, false)
 	s.RecordAnalysis("control", 1, 2, 3, 4)
 	s.CheckpointWrite("dir", 1, false)
@@ -47,34 +45,37 @@ func TestStatusNilSafe(t *testing.T) {
 	}
 }
 
-// TestPhaseLedgerViaTracer: root spans feed the ledger through the
-// SpanObserver hook NewTelemetry installs; child spans do not.
+// TestPhaseLedgerViaTracer: the phase ledger is derived from the phase
+// recorder's root spans when it is read; child spans do not appear.
 func TestPhaseLedgerViaTracer(t *testing.T) {
 	tel := NewTelemetry()
-	root := tel.Tracer.Start("crawl")
+	root := tel.Phases.Start("crawl")
 	child := root.StartChild("visit")
 
-	snap := tel.Status.Snapshot()
-	if len(snap.Phases) != 1 || snap.Phases[0].Name != "crawl" || snap.Phases[0].State != "running" {
-		t.Fatalf("phases mid-span = %+v", snap.Phases)
+	ledger := tel.Phases.Ledger()
+	if len(ledger) != 1 || ledger[0].Name != "crawl" || ledger[0].State != "running" {
+		t.Fatalf("phases mid-span = %+v", ledger)
 	}
 
 	child.End()
 	root.End()
-	snap = tel.Status.Snapshot()
-	if len(snap.Phases) != 1 {
-		t.Fatalf("child span leaked into the ledger: %+v", snap.Phases)
+	ledger = tel.Phases.Ledger()
+	if len(ledger) != 1 {
+		t.Fatalf("child span leaked into the ledger: %+v", ledger)
 	}
-	p := snap.Phases[0]
+	p := ledger[0]
 	if p.State != "done" || p.Runs != 1 || p.Seconds < 0 {
 		t.Fatalf("phase after end = %+v", p)
 	}
 
 	// Re-entrant phase: a second root span with the same name.
-	tel.Tracer.Start("crawl").End()
-	snap = tel.Status.Snapshot()
-	if snap.Phases[0].Runs != 2 {
-		t.Fatalf("re-entrant runs = %d, want 2", snap.Phases[0].Runs)
+	again := tel.Phases.Start("crawl")
+	if ledger = tel.Phases.Ledger(); ledger[0].State != "running" || ledger[0].Runs != 1 {
+		t.Fatalf("re-entered phase = %+v, want running with 1 finished run", ledger[0])
+	}
+	again.End()
+	if ledger = tel.Phases.Ledger(); ledger[0].Runs != 2 || ledger[0].State != "done" {
+		t.Fatalf("re-entrant runs = %+v, want 2 done", ledger[0])
 	}
 }
 

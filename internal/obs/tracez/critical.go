@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"canvassing/internal/obs"
 )
 
 // PhaseStat aggregates every span with one name across a forest.
@@ -52,59 +50,6 @@ type Report struct {
 	// CriticalPath descends from the longest root through the child
 	// that finishes last at each level.
 	CriticalPath []PathStep `json:"critical_path"`
-}
-
-// BuildForest converts finished tracer records into tracez span
-// trees: children attach under their parents in start order, and
-// offsets are relative to each tree's root start.
-func BuildForest(recs []obs.SpanRecord) []*Span {
-	byID := make(map[int64]*Span, len(recs))
-	starts := make(map[int64]time.Time, len(recs))
-	for _, r := range recs {
-		byID[r.ID] = &Span{Name: r.Name, Wall: r.Duration, Labels: r.Labels}
-		starts[r.ID] = r.Start
-	}
-	type edge struct {
-		id     int64
-		parent int64
-	}
-	edges := make([]edge, 0, len(recs))
-	for _, r := range recs {
-		edges = append(edges, edge{r.ID, r.ParentID})
-	}
-	sort.SliceStable(edges, func(i, j int) bool {
-		si, sj := starts[edges[i].id], starts[edges[j].id]
-		if !si.Equal(sj) {
-			return si.Before(sj)
-		}
-		return edges[i].id < edges[j].id
-	})
-	var roots []*Span
-	var rootIDs []int64
-	for _, e := range edges {
-		if p := byID[e.parent]; p != nil {
-			p.Children = append(p.Children, byID[e.id])
-		} else {
-			roots = append(roots, byID[e.id])
-			rootIDs = append(rootIDs, e.id)
-		}
-	}
-	// Offsets relative to the owning root.
-	var stamp func(sp *Span, id int64, rootStart time.Time)
-	ids := map[*Span]int64{}
-	for id, sp := range byID {
-		ids[sp] = id
-	}
-	stamp = func(sp *Span, id int64, rootStart time.Time) {
-		sp.Off = starts[id].Sub(rootStart)
-		for _, c := range sp.Children {
-			stamp(c, ids[c], rootStart)
-		}
-	}
-	for i, root := range roots {
-		stamp(root, rootIDs[i], starts[rootIDs[i]])
-	}
-	return roots
 }
 
 // interval is a half-open [start, end) wall window.
@@ -160,8 +105,8 @@ func selfTime(sp *Span) time.Duration {
 	return self
 }
 
-// Analyze computes the critical-path report for a span forest (tracer
-// phase trees or exemplar visit trees alike).
+// Analyze computes the critical-path report for a span forest (phase
+// trees or exemplar visit trees alike).
 func Analyze(forest []*Span) Report {
 	rep := Report{Roots: len(forest)}
 	agg := map[string]*PhaseStat{}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"canvassing/internal/obs"
 )
 
 const ms = time.Millisecond
@@ -119,37 +117,6 @@ func TestAnalyzeEmptyForest(t *testing.T) {
 	rep := Analyze(nil)
 	if rep.Roots != 0 || rep.TotalWall != 0 || len(rep.CriticalPath) != 0 {
 		t.Fatalf("empty forest report = %+v", rep)
-	}
-}
-
-// TestBuildForest reconstructs parent/child structure and root-relative
-// offsets from flat tracer records.
-func TestBuildForest(t *testing.T) {
-	base := time.Unix(1000, 0)
-	recs := []obs.SpanRecord{
-		{ID: 2, ParentID: 1, Name: "crawl", Start: base.Add(10 * ms), Duration: 50 * ms},
-		{ID: 1, Name: "run", Start: base, Duration: 100 * ms},
-		{ID: 4, Name: "report", Start: base.Add(100 * ms), Duration: 5 * ms},
-		{ID: 3, ParentID: 1, Name: "analyze", Start: base.Add(60 * ms), Duration: 30 * ms},
-	}
-	forest := BuildForest(recs)
-	if len(forest) != 2 || forest[0].Name != "run" || forest[1].Name != "report" {
-		t.Fatalf("roots = %+v", forest)
-	}
-	run := forest[0]
-	if len(run.Children) != 2 || run.Children[0].Name != "crawl" || run.Children[1].Name != "analyze" {
-		t.Fatalf("children = %+v", run.Children)
-	}
-	if run.Children[0].Off != 10*ms || run.Children[1].Off != 60*ms {
-		t.Fatalf("offsets = %v, %v", run.Children[0].Off, run.Children[1].Off)
-	}
-	if run.Off != 0 || forest[1].Off != 0 {
-		t.Fatal("roots must sit at offset zero")
-	}
-	// An orphan (parent id never finished) becomes its own root.
-	orphan := BuildForest([]obs.SpanRecord{{ID: 9, ParentID: 5, Name: "stray", Start: base, Duration: ms}})
-	if len(orphan) != 1 || orphan[0].Name != "stray" {
-		t.Fatalf("orphan handling = %+v", orphan)
 	}
 }
 

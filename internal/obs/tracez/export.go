@@ -2,13 +2,13 @@ package tracez
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"canvassing/internal/obs"
 )
 
 // ExemplarsFile is the sidecar written next to the bundle. It is
@@ -17,7 +17,9 @@ import (
 // (runsdiff and the determinism oracle never read it).
 const ExemplarsFile = "trace_exemplars.jsonl"
 
-// TraceFile is the phase-span export the -trace flag writes.
+// TraceFile is the phase-span export: one JSON Span tree per line, one
+// line per root phase in start order. Bundles write it (schema v3 and
+// later), and so do -trace and /spans.
 const TraceFile = "trace.jsonl"
 
 // header is the first line of trace_exemplars.jsonl.
@@ -44,26 +46,15 @@ type exemplarLine struct {
 	Exemplar *VisitTrace `json:"exemplar"`
 }
 
-// reportLine is the trailer row carrying the phase-level
-// critical-path report.
-type reportLine struct {
-	CriticalPath *Report `json:"critical_path"`
-}
-
 // Export is a decoded trace_exemplars.jsonl.
 type Export struct {
 	Schema     int             `json:"tracez_schema"`
 	Conditions []CondExemplars `json:"conditions"`
-	// Report is the phase-level critical-path report computed at
-	// write time (nil in files written before a report existed).
-	Report *Report `json:"critical_path,omitempty"`
 }
 
-// WriteExemplars writes the reservoir and the phase-level
-// critical-path report (from the tracer's finished spans) as
-// trace_exemplars.jsonl at path. A nil reservoir writes nothing and
-// returns nil.
-func WriteExemplars(path string, r *Reservoir, phases []obs.SpanRecord) error {
+// WriteExemplars writes the reservoir as trace_exemplars.jsonl at
+// path. A nil reservoir writes nothing and returns nil.
+func WriteExemplars(path string, r *Reservoir) error {
 	if r == nil {
 		return nil
 	}
@@ -98,16 +89,13 @@ func WriteExemplars(path string, r *Reservoir, phases []obs.SpanRecord) error {
 			}
 		}
 	}
-	rep := Analyze(BuildForest(phases))
-	if err := enc.Encode(reportLine{CriticalPath: &rep}); err != nil {
-		return err
-	}
 	return w.Flush()
 }
 
 // ReadExemplars decodes a trace_exemplars.jsonl written by
 // WriteExemplars, rebuilding per-condition exemplar groups in file
-// order.
+// order. Rows that are not exemplars (the critical-path trailer older
+// files carry) are skipped.
 func ReadExemplars(path string) (*Export, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -137,9 +125,8 @@ func ReadExemplars(path string) (*Export, error) {
 		ex.Conditions = append(ex.Conditions, *ce) // placeholder; rewritten below
 	}
 	for sc.Scan() {
-		line := sc.Bytes()
 		var el exemplarLine
-		if err := json.Unmarshal(line, &el); err == nil && el.Exemplar != nil {
+		if err := json.Unmarshal(sc.Bytes(), &el); err == nil && el.Exemplar != nil {
 			ce := byCond[el.Exemplar.Condition]
 			if ce == nil {
 				ce = &CondExemplars{Condition: el.Exemplar.Condition, Kind: el.Exemplar.Kind}
@@ -151,11 +138,6 @@ func ReadExemplars(path string) (*Export, error) {
 			} else {
 				ce.Slow = append(ce.Slow, el.Exemplar)
 			}
-			continue
-		}
-		var rl reportLine
-		if err := json.Unmarshal(line, &rl); err == nil && rl.CriticalPath != nil {
-			ex.Report = rl.CriticalPath
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -183,11 +165,11 @@ type RunDir struct {
 // LoadRunDir reads dir's trace.jsonl (required) and
 // trace_exemplars.jsonl (optional).
 func LoadRunDir(dir string) (*RunDir, error) {
-	recs, err := readSpanRecords(filepath.Join(dir, TraceFile))
+	phases, err := readForest(filepath.Join(dir, TraceFile))
 	if err != nil {
 		return nil, err
 	}
-	rd := &RunDir{Dir: dir, Phases: BuildForest(recs)}
+	rd := &RunDir{Dir: dir, Phases: phases}
 	exPath := filepath.Join(dir, ExemplarsFile)
 	if _, err := os.Stat(exPath); err == nil {
 		ex, err := ReadExemplars(exPath)
@@ -199,26 +181,40 @@ func LoadRunDir(dir string) (*RunDir, error) {
 	return rd, nil
 }
 
-func readSpanRecords(path string) ([]obs.SpanRecord, error) {
+// WriteForest writes forest in the TraceFile format: one JSON tree per
+// root.
+func WriteForest(w io.Writer, forest []*Span) error {
+	enc := json.NewEncoder(w)
+	for _, root := range forest {
+		if err := enc.Encode(root); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readForest decodes a TraceFile. A line that is not a span tree, such
+// as the flat span records of pre-v3 bundles, is an error rather than
+// an empty tree.
+func readForest(path string) ([]*Span, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var recs []obs.SpanRecord
+	var forest []*Span
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
+	for n := 1; sc.Scan(); n++ {
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		var root Span
+		if err := dec.Decode(&root); err != nil {
+			return nil, fmt.Errorf("tracez: %s:%d: not a span tree (the flat span records of bundle schema 1 and 2 are not read; schema 3 writes one tree per line): %w", path, n, err)
 		}
-		var r obs.SpanRecord
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			return nil, fmt.Errorf("tracez: %s: %w", path, err)
-		}
-		recs = append(recs, r)
+		forest = append(forest, &root)
 	}
-	return recs, sc.Err()
+	return forest, sc.Err()
 }
 
 // VisitForest gathers every retained visit-kind exemplar tree across

@@ -4,26 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
-
-	"canvassing/internal/obs"
 )
 
-// testPhaseRecords builds a small deterministic phase-span set the way
-// the main tracer would.
-func testPhaseRecords() []obs.SpanRecord {
-	base := time.Unix(2000, 0)
-	return []obs.SpanRecord{
-		{ID: 1, Name: "crawl.control", Start: base, Duration: 400 * ms},
-		{ID: 2, ParentID: 1, Name: "webgen", Start: base, Duration: 100 * ms},
-		{ID: 3, Name: "analyze", Start: base.Add(400 * ms), Duration: 200 * ms},
-	}
-}
-
 // TestExportRoundTrip: write → read preserves the stream summaries,
-// the retained trees (structure and labels included), the picked
-// classification, and the phase-level critical-path report.
+// the retained trees (structure and labels included), and the picked
+// classification.
 func TestExportRoundTrip(t *testing.T) {
 	r := NewReservoir(3, 4, 4)
 	for i := 0; i < 50; i++ {
@@ -37,7 +24,7 @@ func TestExportRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, ExemplarsFile)
-	if err := WriteExemplars(path, r, testPhaseRecords()); err != nil {
+	if err := WriteExemplars(path, r); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := ReadExemplars(path)
@@ -72,14 +59,6 @@ func TestExportRoundTrip(t *testing.T) {
 	if len(ctl.Slow[0].Root.Children) != 1 || ctl.Slow[0].Root.Children[0].Labels["fault"] != "outage" {
 		t.Fatalf("tree lost in round trip: %+v", ctl.Slow[0].Root)
 	}
-	// The trailer report reflects the phase forest.
-	if ex.Report == nil || ex.Report.Roots != 2 {
-		t.Fatalf("report = %+v", ex.Report)
-	}
-	if ex.Report.CriticalWall != 400*ms {
-		t.Fatalf("critical wall = %v", ex.Report.CriticalWall)
-	}
-
 	// Selection-relevant views over the decoded export.
 	if got := ex.Slowest(3); len(got) != 3 || got[0].Cost < got[1].Cost {
 		t.Fatalf("Slowest = %+v", got)
@@ -97,7 +76,7 @@ func domainOf(i int) string {
 // calls WriteExemplars when -tracez is off — no file, no error.
 func TestWriteExemplarsNilReservoir(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ExemplarsFile)
-	if err := WriteExemplars(path, nil, nil); err != nil {
+	if err := WriteExemplars(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -123,9 +102,9 @@ func TestLoadRunDir(t *testing.T) {
 		t.Fatal("missing trace.jsonl must error")
 	}
 	var buf bytes.Buffer
-	tr := obs.NewTracer()
-	tr.Start("crawl.control").End()
-	if err := tr.WriteJSONL(&buf); err != nil {
+	phases := []*Span{{Name: "crawl.control", Wall: 400 * ms, Labels: map[string]string{"sites": "800"},
+		Children: []*Span{{Name: "groundtruth", Off: 10 * ms, Wall: 50 * ms}}}}
+	if err := WriteForest(&buf, phases); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, TraceFile), buf.Bytes(), 0o644); err != nil {
@@ -138,10 +117,15 @@ func TestLoadRunDir(t *testing.T) {
 	if len(rd.Phases) != 1 || rd.Export != nil {
 		t.Fatalf("rundir = %+v", rd)
 	}
+	root := rd.Phases[0]
+	if root.Wall != 400*ms || root.Labels["sites"] != "800" || len(root.Children) != 1 ||
+		root.Children[0].Name != "groundtruth" || root.Children[0].Off != 10*ms {
+		t.Fatalf("phase tree lost in round trip: %+v", root)
+	}
 
 	r := NewReservoir(1, 2, 2)
 	r.Offer(mkVisit("control", "x.com", 0, 5))
-	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), r, nil); err != nil {
+	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), r); err != nil {
 		t.Fatal(err)
 	}
 	rd, err = LoadRunDir(dir)
@@ -150,5 +134,25 @@ func TestLoadRunDir(t *testing.T) {
 	}
 	if rd.Export == nil || len(rd.Export.Conditions) != 1 {
 		t.Fatalf("sidecar not loaded: %+v", rd.Export)
+	}
+}
+
+// TestLoadRunDirRefusesFlatTrace: a pre-v3 trace.jsonl holds flat span
+// records. Decoded as trees they would read as childless zero-wall spans, so
+// LoadRunDir must refuse them with an error that names the format.
+func TestLoadRunDirRefusesFlatTrace(t *testing.T) {
+	dir := t.TempDir()
+	flat := `{"id":1,"name":"crawl.control","start":"1970-01-01T00:50:00Z","duration_ns":5000000000}
+{"id":2,"parent":1,"name":"webgen","start":"1970-01-01T00:50:00Z","duration_ns":1000000000}
+`
+	if err := os.WriteFile(filepath.Join(dir, TraceFile), []byte(flat), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRunDir(dir)
+	if err == nil {
+		t.Fatal("flat pre-v3 trace.jsonl must be refused")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "flat span records") || !strings.Contains(msg, "schema 3") {
+		t.Fatalf("error must name the flat format and the schema that replaced it: %v", err)
 	}
 }

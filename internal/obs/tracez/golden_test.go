@@ -1,7 +1,6 @@
 package tracez
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -9,29 +8,25 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"canvassing/internal/obs"
 )
 
 var update = flag.Bool("update", false, "regenerate the tracescope fixtures and golden files")
 
-// goldenPhases is the phase-span forest of a small fixture study.
-// Variant "b" is the same study after a perf shift: the control crawl
-// slowed down and the analysis sped up, so the diff shows wall
-// attribution moving between phases.
-func goldenPhases(variant string) []obs.SpanRecord {
-	base := time.Unix(3000, 0)
+// goldenPhases is the phase-span forest of a small fixture study, roots
+// in start order. Variant "b" is the same study after a perf shift: the
+// control crawl slowed down and the analysis sped up, so the diff shows
+// wall attribution moving between phases.
+func goldenPhases(variant string) []*Span {
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	crawlDur, analyzeStart, analyzeDur := sec(5), sec(5), sec(2)
+	crawlDur, analyzeDur := sec(5), sec(2)
 	if variant == "b" {
-		crawlDur, analyzeStart, analyzeDur = sec(8), sec(8), sec(1)
+		crawlDur, analyzeDur = sec(8), sec(1)
 	}
-	return []obs.SpanRecord{
-		{ID: 1, Name: "crawl.control", Start: base, Duration: crawlDur,
-			Labels: map[string]string{"machine": "intel"}},
-		{ID: 2, ParentID: 1, Name: "webgen", Start: base, Duration: sec(1)},
-		{ID: 3, Name: "analyze", Start: base.Add(analyzeStart), Duration: analyzeDur},
-		{ID: 4, Name: "crawl.abp", Start: base.Add(analyzeStart + analyzeDur), Duration: sec(4)},
+	return []*Span{
+		{Name: "crawl.control", Wall: crawlDur, Labels: map[string]string{"machine": "intel"},
+			Children: []*Span{{Name: "webgen", Wall: sec(1)}}},
+		{Name: "analyze", Wall: analyzeDur},
+		{Name: "crawl.abp", Wall: sec(4)},
 	}
 }
 
@@ -104,16 +99,13 @@ func writeFixture(t *testing.T, dir, variant string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := json.NewEncoder(f)
-	for _, rec := range goldenPhases(variant) {
-		if err := enc.Encode(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := WriteForest(f, goldenPhases(variant)); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), goldenReservoir(variant), goldenPhases(variant)); err != nil {
+	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), goldenReservoir(variant)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,9 +3,10 @@
 // analysis executor, a bounded deterministic exemplar reservoir, and a
 // critical-path analyzer over span forests.
 //
-// The main obs.Tracer records pipeline *phases* — tens of spans per
-// study. Per-visit trees would be millions at paper scale, so they
-// never enter the tracer or the metrics registry: the Reservoir keeps
+// Pipeline *phases* are span trees too (obs.Phases records them, tens
+// of spans per study, and they are written whole to trace.jsonl).
+// Per-visit trees would be millions at paper scale, so they never
+// enter the phase recorder or the metrics registry: the Reservoir keeps
 // only the slowest-N trees per condition plus a seeded head sample,
 // and everything it retains lives outside the run bundle (the exemplar
 // export is a sidecar file, like the checkpoint and snapshot store),

@@ -195,7 +195,7 @@ func TestTelemetryReportFlagsLeakedSpans(t *testing.T) {
 	if strings.Contains(clean, "leaked") {
 		t.Fatalf("clean run reports leaked spans:\n%s", clean)
 	}
-	sp := s.Telemetry().Tracer.Start("leaky.phase")
+	sp := s.Telemetry().Phases.Start("leaky.phase")
 	text := s.TelemetryReport()
 	if !strings.Contains(text, "leaked") || !strings.Contains(text, "leaky.phase") {
 		t.Fatalf("leaked span not flagged:\n%s", text)

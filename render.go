@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"canvassing/internal/obs"
 	"canvassing/internal/report"
 	"canvassing/internal/web"
 )
@@ -70,24 +69,8 @@ func (s *Study) RenderAll() string {
 // pipeline phase (webgen, control crawl, detect, cluster, attrib,
 // re-crawls), children indented, with each root phase's share of total
 // instrumented wall time. Phases that did not run are simply absent.
-func (s *Study) PhaseTimings() string {
-	t := report.NewTable("Phase timings", "phase", "wall", "share")
-	total := s.tel.Tracer.TotalWall()
-	var walk func(ps []obs.Phase, depth int)
-	walk = func(ps []obs.Phase, depth int) {
-		for _, p := range ps {
-			share := ""
-			if depth == 0 && total > 0 {
-				share = fmt.Sprintf("%.1f%%", 100*float64(p.Total)/float64(total))
-			}
-			t.AddRow(strings.Repeat("  ", depth)+p.Name, p.Total.Round(time.Microsecond).String(), share)
-			walk(p.Children, depth+1)
-		}
-	}
-	walk(s.tel.Tracer.PhaseSummary(), 0)
-	t.AddRow("total", total.Round(time.Microsecond).String(), "100.0%")
-	return t.String()
-}
+// The -metrics flag of every binary prints the same table.
+func (s *Study) PhaseTimings() string { return s.tel.Phases.Table() }
 
 // TelemetryReport renders the crawl summary, phase-timing table, and
 // metrics snapshot — the -metrics output of cmd/repro.
@@ -102,10 +85,10 @@ func (s *Study) TelemetryReport() string {
 	sb.WriteByte('\n')
 	sb.WriteString(s.checkpointSection())
 	sb.WriteString(s.analysisSection())
-	if active := s.tel.Tracer.Active(); len(active) > 0 {
+	if active := s.tel.Phases.Active(); len(active) > 0 {
 		fmt.Fprintf(&sb, "WARNING: %d span(s) never ended (leaked):\n", len(active))
 		for _, sp := range active {
-			fmt.Fprintf(&sb, "  %s (running %s)\n", sp.Name, sp.Duration.Round(time.Microsecond))
+			fmt.Fprintf(&sb, "  %s (running %s)\n", sp.Name, sp.Wall.Round(time.Microsecond))
 		}
 		sb.WriteByte('\n')
 	}

@@ -168,7 +168,7 @@ type Study struct {
 // StopAfter interruption.
 func (s *Study) Checkpointer() *checkpoint.Writer { return s.ckpt }
 
-// Telemetry exposes the study's metrics registry and span tracer.
+// Telemetry exposes the study's metrics registry and phase recorder.
 // Every crawl and analysis phase accumulates into it; inspect it with
 // Telemetry().Metrics.RenderText(), the PhaseTimings table, or the
 // obs HTTP mux.
@@ -186,7 +186,7 @@ func New(opts Options) *Study {
 		opts.Scale = 1
 	}
 	tel := obs.NewTelemetry()
-	sp := tel.Tracer.Start("webgen")
+	sp := tel.Phases.Start("webgen")
 	w := web.Generate(web.Config{Seed: opts.Seed, Scale: opts.Scale, TrancoMax: 1_000_000, Interact: opts.Interact})
 	sp.End()
 	s := &Study{
@@ -344,7 +344,7 @@ func (s *Study) analyzeAll(pages []*crawler.PageResult, cond string) []detect.Si
 func (s *Study) RunControl() { s.runControl(nil) }
 
 func (s *Study) runControl(resume []*crawler.PageResult) {
-	defer s.tel.Tracer.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
+	defer s.tel.Phases.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
 	cfg := s.crawlConfig(CondControl)
 	s.attachCheckpoint(&cfg, resume)
 	s.Control = crawler.Crawl(s.Web, s.crawlSites, cfg)
@@ -361,10 +361,10 @@ func (s *Study) runControl(resume []*crawler.PageResult) {
 func (s *Study) Analyze() {
 	evs := s.events()
 	s.Sites = s.analyzeAll(s.Control.Pages, CondControl)
-	sp := s.tel.Tracer.Start("cluster")
+	sp := s.tel.Phases.Start("cluster")
 	s.Clustering = cluster.BuildEvents(s.Sites, evs)
 	sp.End()
-	sp = s.tel.Tracer.Start("attrib")
+	sp = s.tel.Phases.Start("attrib")
 	gt := sp.StartChild("groundtruth")
 	s.GroundTruth = attrib.BuildGroundTruthEvents(s.Web, s.Sites, s.crawlConfig(CondDemo), evs)
 	gt.End()
@@ -376,7 +376,7 @@ func (s *Study) Analyze() {
 // RunAdblock performs the two ad-blocker re-crawls (Table 2) and
 // analyzes their pages under the "abp"/"ubo" condition labels.
 func (s *Study) RunAdblock() {
-	sp := s.tel.Tracer.Start("crawl.adblock")
+	sp := s.tel.Phases.Start("crawl.adblock")
 	defer sp.End()
 	abp := sp.StartChild("abp")
 	s.runABP(nil)
@@ -431,7 +431,7 @@ func (s *Study) analyzeUBO() {
 
 // RunM1 performs the Apple-silicon validation crawl (§3.1).
 func (s *Study) RunM1() {
-	defer s.tel.Tracer.Start("crawl.m1").End()
+	defer s.tel.Phases.Start("crawl.m1").End()
 	s.runM1Crawl(nil)
 	if s.Halted {
 		return

@@ -3,6 +3,8 @@ package canvassing
 import (
 	"strings"
 	"testing"
+
+	"canvassing/internal/obs/tracez"
 )
 
 // TestStudyTelemetry is the acceptance check for the observability
@@ -28,9 +30,14 @@ func TestStudyTelemetry(t *testing.T) {
 	}
 
 	phases := map[string]bool{}
-	for _, r := range tel.Tracer.Records() {
-		phases[r.Name] = true
+	var walk func(spans []*tracez.Span)
+	walk = func(spans []*tracez.Span) {
+		for _, sp := range spans {
+			phases[sp.Name] = true
+			walk(sp.Children)
+		}
 	}
+	walk(tel.Phases.Forest())
 	for _, want := range []string{
 		"webgen", "crawl.control", "analyze.control", "cluster", "attrib",
 		"groundtruth", "crawl.adblock", "abp", "analyze.abp", "ubo",

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,8 +109,12 @@ func TestTracezBundleInvariance(t *testing.T) {
 			t.Errorf("condition %q missing from sidecar (have %v)", want, conds)
 		}
 	}
-	if ex.Report == nil || len(ex.Report.CriticalPath) == 0 {
-		t.Error("sidecar trailer missing the phase critical-path report")
+	rd, err := tracez.LoadRunDir(obsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := tracez.Analyze(rd.Phases); len(rep.CriticalPath) == 0 {
+		t.Error("trace.jsonl yields no phase critical path")
 	}
 }
 
@@ -143,5 +148,42 @@ func TestTracezSelectionWidthInvariance(t *testing.T) {
 				t.Errorf("exemplar selection depends on worker width:\n--- serial ---\n%s\n--- wide ---\n%s", serial, wide)
 			}
 		})
+	}
+}
+
+// TestTraceBundleRoundTrip: a bundle's trace.jsonl is the phase forest
+// itself, so tracez.LoadRunDir must give back the root and child names,
+// order and nesting of the PhaseTimings table.
+func TestTraceBundleRoundTrip(t *testing.T) {
+	s := Run(Options{Seed: 7, Scale: 0.01, WithAdblock: true})
+	dir := t.TempDir()
+	if err := s.WriteBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := tracez.LoadRunDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table merges same-named siblings; this study runs each once.
+	var loaded []string
+	var walk func(spans []*tracez.Span, indent string)
+	walk = func(spans []*tracez.Span, indent string) {
+		for _, sp := range spans {
+			loaded = append(loaded, indent+sp.Name)
+			walk(sp.Children, indent+"  ")
+		}
+	}
+	walk(rd.Phases, "")
+	// Table rows sit between the dash rule and the total row.
+	var table []string
+	for _, line := range strings.Split(s.PhaseTimings(), "\n")[3:] {
+		if name := strings.Fields(line)[0]; name != "total" {
+			table = append(table, line[:strings.Index(line, name)]+name)
+		} else {
+			break
+		}
+	}
+	if got, want := strings.Join(loaded, "\n"), strings.Join(table, "\n"); got != want || !strings.Contains(want, "  abp") {
+		t.Fatalf("trace.jsonl tree differs from PhaseTimings:\n--- loaded ---\n%s\n--- table ---\n%s", got, want)
 	}
 }
