@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fuzz-smoke check bench bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+.PHONY: build test race vet fuzz-smoke check bench bench-smoke bench-check resume-smoke trace-smoke serve-smoke interact-smoke
 
 build:
 	$(GO) build ./...
@@ -41,19 +41,27 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
 
-check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke interact-smoke
 
 # resume-smoke is the shell-level half of the resume oracle (the Go
-# half is TestResumeOracle): run a checkpointed study to completion,
-# run it again interrupted mid-flight (-interrupt-after exits 3),
-# resume from the sidecar, and require the two bundles' deterministic
-# artifacts to be byte-identical via cmp.
+# half is TestResumeOracle): every checkpoint consumer must reproduce
+# an uninterrupted run byte for byte across a process boundary, checked
+# with cmp. Three cases:
+#   1. repro, a one-partition checkpointed study, interrupted by
+#      -interrupt-after (exit 3) and finished with -resume;
+#   2. coordinator, a 4-partition study over spawned
+#      `crawl -distrib-unit` worker processes, whose ledger must show a
+#      clean run (no failed units);
+#   3. crawl -checkpoint, a standalone checkpointed crawl, interrupted
+#      at page 300/800 and finished with -resume into the same JSONL.
 SMOKE := .resume-smoke
 resume-smoke:
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
 	$(GO) build -o $(SMOKE)/repro ./cmd/repro
-	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt-ref -checkpoint-every 100 -snapshots -outdir $(SMOKE)/ref >/dev/null
+	$(GO) build -o $(SMOKE)/coordinator ./cmd/coordinator
+	$(GO) build -o $(SMOKE)/crawl ./cmd/crawl
+	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -outdir $(SMOKE)/ref >/dev/null
 	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt -checkpoint-every 100 -snapshots -interrupt-after 4 >/dev/null; \
 	  status=$$?; [ $$status -eq 3 ] || { echo "resume-smoke: expected exit 3 from the interrupted run, got $$status"; exit 1; }
 	$(SMOKE)/repro -resume $(SMOKE)/ckpt -exp compare -outdir $(SMOKE)/resumed >/dev/null
@@ -61,8 +69,21 @@ resume-smoke:
 	cmp $(SMOKE)/ref/events.jsonl $(SMOKE)/resumed/events.jsonl
 	cmp $(SMOKE)/ref/report.txt $(SMOKE)/resumed/report.txt
 	cmp $(SMOKE)/ref/metrics.deterministic.json $(SMOKE)/resumed/metrics.deterministic.json
+	$(SMOKE)/coordinator -seed 11 -scale 0.02 -adblock -m1 -partitions 4 -slots 3 -dir $(SMOKE)/run -worker $(SMOKE)/crawl -compare -out $(SMOKE)/dist >$(SMOKE)/ledger.txt 2>/dev/null
+	grep -q "16 units, 16 done, 0 failed" $(SMOKE)/ledger.txt
+	cmp $(SMOKE)/ref/manifest.json $(SMOKE)/dist/manifest.json
+	cmp $(SMOKE)/ref/events.jsonl $(SMOKE)/dist/events.jsonl
+	cmp $(SMOKE)/ref/report.txt $(SMOKE)/dist/report.txt
+	cmp $(SMOKE)/ref/metrics.deterministic.json $(SMOKE)/dist/metrics.deterministic.json
+	$(SMOKE)/crawl -seed 11 -scale 0.02 -out $(SMOKE)/crawl-ref.jsonl 2>/dev/null
+	$(SMOKE)/crawl -seed 11 -scale 0.02 -checkpoint $(SMOKE)/crawl-ckpt -checkpoint-every 100 -interrupt-after 3 -out $(SMOKE)/crawl-cut.jsonl 2>$(SMOKE)/crawl-cut.txt; \
+	  status=$$?; [ $$status -eq 3 ] || { echo "resume-smoke: expected exit 3 from the interrupted crawl, got $$status"; exit 1; }
+	grep -q "interrupted at page 300/800" $(SMOKE)/crawl-cut.txt
+	$(SMOKE)/crawl -resume $(SMOKE)/crawl-ckpt -out $(SMOKE)/crawl-resumed.jsonl 2>/dev/null
+	test $$(wc -l < $(SMOKE)/crawl-resumed.jsonl) -eq 800
+	cmp $(SMOKE)/crawl-ref.jsonl $(SMOKE)/crawl-resumed.jsonl
 	rm -rf $(SMOKE)
-	@echo "resume-smoke: interrupted-then-resumed bundle is byte-identical to the uninterrupted run"
+	@echo "resume-smoke: resumed repro, 4-partition coordinator, and resumed crawl all match their uninterrupted runs byte for byte"
 
 # trace-smoke is the shell-level tracescope check: run a small traced
 # study with -outdir, then require tracescope to produce a critical
@@ -106,29 +127,6 @@ serve-smoke:
 	diff testdata/serve_smoke.expected $(VSMOKE)/out.txt
 	rm -rf $(VSMOKE)
 	@echo "serve-smoke: every verdict endpoint answers byte-identically to the committed expectation"
-
-# distrib-smoke is the shell-level half of the partition-invariance
-# oracle (the Go half is TestDistribPartitionOracle): run the study
-# single-process via repro, run it again as a 4-partition distributed
-# study over spawned `crawl -distrib-unit` worker processes, and
-# require the two bundles' deterministic artifacts to be byte-identical
-# via cmp. The ledger must show a clean run (no failed units).
-DSMOKE := .distrib-smoke
-distrib-smoke:
-	rm -rf $(DSMOKE)
-	mkdir -p $(DSMOKE)
-	$(GO) build -o $(DSMOKE)/repro ./cmd/repro
-	$(GO) build -o $(DSMOKE)/coordinator ./cmd/coordinator
-	$(GO) build -o $(DSMOKE)/crawl ./cmd/crawl
-	$(DSMOKE)/repro -seed 11 -scale 0.02 -exp compare -outdir $(DSMOKE)/ref >/dev/null
-	$(DSMOKE)/coordinator -seed 11 -scale 0.02 -adblock -m1 -partitions 4 -slots 3 -dir $(DSMOKE)/run -worker $(DSMOKE)/crawl -compare -out $(DSMOKE)/dist >$(DSMOKE)/ledger.txt 2>/dev/null
-	grep -q "16 units, 16 done, 0 failed" $(DSMOKE)/ledger.txt
-	cmp $(DSMOKE)/ref/manifest.json $(DSMOKE)/dist/manifest.json
-	cmp $(DSMOKE)/ref/events.jsonl $(DSMOKE)/dist/events.jsonl
-	cmp $(DSMOKE)/ref/report.txt $(DSMOKE)/dist/report.txt
-	cmp $(DSMOKE)/ref/metrics.deterministic.json $(DSMOKE)/dist/metrics.deterministic.json
-	rm -rf $(DSMOKE)
-	@echo "distrib-smoke: 4-partition distributed study over worker processes is byte-identical to the single-process run"
 
 # interact-smoke is the shell-level half of the interaction-engine
 # contract (the Go halves are TestInteractDispatchWidthInvariance and

@@ -4,7 +4,7 @@
 // worker died mid-unit, merges the partial bundles, and runs the
 // analysis pipeline over the recombined crawls. The resulting bundle is
 // byte-identical to the single-process `repro` run with the same
-// options — the partition-invariance contract `make distrib-smoke`
+// options — the partition-invariance contract `make resume-smoke`
 // checks end to end.
 //
 // By default units run in-process (worker goroutines sharing one

@@ -229,14 +229,10 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.CommitEvery = ckpt.Every()
-		ext := ""
-		if cfg.Extension != nil {
-			ext = cfg.Extension.Name()
-		}
-		cfg.OnCommit = ckpt.Hook(cfg.Profile.Name, ext)
+		cfg.OnCommit = ckpt.Commit
 	}
 	if cp != nil {
-		if cs := cp.Crawl(cfg.Condition); cs != nil {
+		if cs := cp.Crawl; cs != nil {
 			cfg.Resume = cs.Pages
 			fmt.Fprintf(os.Stderr, "resume: continuing %q from page %d/%d\n", cfg.Condition, cs.Frontier, cs.Total)
 		}

@@ -48,10 +48,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if s.Halted {
-			fmt.Fprintf(os.Stderr, "study interrupted again; resume with -resume %s\n", *resumeDir)
-			os.Exit(3)
-		}
 		report(s, *exp, *out, *dumpDir, cli)
 		return
 	}
@@ -109,15 +105,15 @@ func main() {
 		log.Fatal(err)
 	}
 	defer plane.Close()
+	// Each phase is a no-op once the study has halted.
 	s.RunControl()
-	if !s.Halted {
-		s.Analyze()
-		s.RunAdblock()
-	}
-	if !s.Halted {
-		s.RunM1()
-	}
+	s.Analyze()
+	s.RunAdblock()
+	s.RunM1()
 	if s.Halted {
+		if err := s.Err(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "study interrupted; resume with -resume %s\n", *ckptDir)
 		os.Exit(3)
 	}

@@ -3,17 +3,18 @@ package canvassing
 import (
 	"fmt"
 
+	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
 	"canvassing/internal/distrib"
-	"canvassing/internal/machine"
 )
 
-// DistribOptions configures a distributed study run: the crawl phase is
-// partitioned into work-units that run as independent checkpointed
-// crawl slices (in worker goroutines by default, or worker processes
-// via a custom Spawn), and the merged study is byte-identical to the
-// single-process run — the partition-invariance contract enforced by
-// TestDistribPartitionOracle.
+// DistribOptions lays out a durable study's crawls as work-units: each
+// condition's frontier is split into Partitions contiguous units that
+// run as independent checkpointed crawl slices (in worker goroutines
+// by default, or worker processes via a custom Spawn), and the merged
+// study is byte-identical to the single-process run — the contract
+// TestResumeOracle enforces. A study with Options.CheckpointDir set is
+// the one-partition case.
 type DistribOptions struct {
 	// Dir is the run root: unit specs, partial bundles, and the unit
 	// ledger live under it.
@@ -67,27 +68,21 @@ func distribConditions(opts Options) []string {
 // unitEnv builds one work-unit's environment: the study's generated
 // world plus the exact crawler configuration the serial pipeline would
 // use for the unit's condition. The demo ground-truth harvest is not a
-// distributable condition — it runs coordinator-side inside Analyze,
-// exactly as in the serial pipeline.
+// distributable condition — it runs inside Analyze, exactly as in the
+// serial pipeline.
 func (s *Study) unitEnv(spec distrib.UnitSpec) (distrib.Env, error) {
-	cfg := s.crawlConfig(spec.Condition)
 	switch spec.Condition {
-	case CondControl:
-	case CondABP:
-		cfg.Extension = newABP(s.Lists)
-	case CondUBO:
-		cfg.Extension = newUBO(s.Lists)
-	case CondM1:
-		cfg.Profile = machine.AppleM1()
+	case CondControl, CondABP, CondUBO, CondM1:
 	default:
 		return distrib.Env{}, fmt.Errorf("canvassing: condition %q is not distributable", spec.Condition)
 	}
-	return distrib.Env{Web: s.Web, Sites: s.crawlSites, Config: cfg}, nil
+	return distrib.Env{Web: s.Web, Sites: s.crawlSites, Config: s.crawlConfig(spec.Condition)}, nil
 }
 
 // inprocSpawner runs unit attempts in-process against a shared study
-// (web generation happens once). It is the default transport for tests
-// and library callers; cmd/coordinator swaps in a ProcessSpawner.
+// (web generation happens once), checkpointing through Unit writers of
+// the study's writer. It is the default transport; cmd/coordinator
+// swaps in a ProcessSpawner.
 type inprocSpawner struct{ s *Study }
 
 func (sp inprocSpawner) Run(dir string, spec distrib.UnitSpec, stopAfter int) (bool, bool, error) {
@@ -95,7 +90,13 @@ func (sp inprocSpawner) Run(dir string, spec distrib.UnitSpec, stopAfter int) (b
 	if err != nil {
 		return false, false, err
 	}
-	return distrib.RunUnit(dir, spec, env, stopAfter)
+	w := sp.s.ckpt.Unit(dir)
+	w.StopAfter = stopAfter
+	interrupted, resumed, err := distrib.RunUnit(w, spec, env)
+	if interrupted && sp.s.ckpt.Stopped() {
+		return false, resumed, distrib.ErrHalted
+	}
+	return interrupted, resumed, err
 }
 
 // RunWorkUnit is the worker-process entry point (`crawl -distrib-unit
@@ -108,34 +109,73 @@ func RunWorkUnit(dir string, stopAfter int) (interrupted bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	st := spec.Study
 	// Web, lists, and fault model are pure functions of (seed, scale,
 	// fault rate), so the worker's world matches the coordinator's.
-	s := New(Options{
-		Seed: st.Seed, Scale: st.Scale, Workers: st.Workers,
-		FaultRate: st.FaultRate, Retries: st.Retries, VisitTimeout: st.VisitTimeout,
-		Interact: st.Interact,
-	})
+	s := New(specOptions(spec.Study))
 	env, err := s.unitEnv(spec)
 	if err != nil {
 		return false, err
 	}
-	interrupted, _, err = distrib.RunUnit(dir, spec, env, stopAfter)
+	w := checkpoint.NewWriter(dir, spec.Study.CheckpointEvery)
+	w.StopAfter = stopAfter
+	interrupted, _, err = distrib.RunUnit(w, spec, env)
 	return interrupted, err
+}
+
+// specOptions inverts studySpec: the crawl-shaping options a unit spec
+// carries.
+func specOptions(st distrib.StudySpec) Options {
+	return Options{
+		Seed: st.Seed, Scale: st.Scale, Workers: st.Workers,
+		FaultRate: st.FaultRate, Retries: st.Retries, VisitTimeout: st.VisitTimeout,
+		SnapshotReuse: st.SnapshotReuse, TraceVisits: st.TraceVisits,
+		CheckpointEvery: st.CheckpointEvery, Interact: st.Interact,
+	}
+}
+
+// crawlUnits runs one condition's work-units under the run root and
+// adopts their merged result. The first call plans the run, writing
+// every condition's unit specs and the ledger, so New itself does no
+// disk I/O. Units the ledger holds as done are adopted without running.
+func (s *Study) crawlUnits(cond string) (*crawler.Result, error) {
+	dir := s.ckpt.Dir()
+	if s.ledger == nil {
+		s.units = distrib.Partition(distribConditions(s.Options), len(s.crawlSites), s.dist.Partitions, s.studySpec())
+		l, err := distrib.Plan(dir, s.units)
+		if err != nil {
+			return nil, err
+		}
+		s.ledger = l
+	}
+	var units []distrib.UnitSpec
+	for _, u := range s.units {
+		if u.Condition == cond {
+			units = append(units, u)
+		}
+	}
+	spawn := s.dist.Spawn
+	if spawn == nil {
+		spawn = inprocSpawner{s}
+	}
+	coord := &distrib.Coordinator{
+		Dir: dir, Units: units, Spawn: spawn,
+		Slots: s.dist.Slots, MaxAttempts: s.dist.MaxAttempts, Arm: s.dist.Arm,
+	}
+	if err := coord.Run(s.ledger); err != nil {
+		return nil, err
+	}
+	return s.adoptUnits(dir, units)
 }
 
 // adoptUnits loads and merges one condition's completed partials and
 // replays them into the study's telemetry — metrics summed, events
 // re-recorded in page order (which re-stamps the global sequence),
-// exemplar views absorbed, snapshot deltas merged — and returns the recombined crawl result. The replay
-// order equals the serial pipeline's, so the downstream bundle bytes
-// are identical.
-func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string) (*crawler.Result, error) {
+// exemplar views absorbed, snapshot deltas merged — and returns the
+// recombined crawl result. The replay order equals the serial
+// pipeline's, so the downstream bundle bytes are identical.
+func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec) (*crawler.Result, error) {
 	var parts []*distrib.Partial
 	for _, u := range units {
-		if u.Condition != cond {
-			continue
-		}
 		p, err := distrib.LoadPartial(distrib.UnitDir(runDir, u.ID))
 		if err != nil {
 			return nil, err
@@ -166,13 +206,14 @@ func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string)
 	}, nil
 }
 
-// RunDistributed executes the full study pipeline with the crawl phase
-// partitioned across d.Partitions work-units per condition. The
-// coordinator dispatches units to worker slots (reassigning and
-// resuming any that die mid-unit), then each condition's partials are
-// merged and the serial analysis pipeline runs coordinator-side in its
-// usual order. The resulting study's bundle artifacts are
-// byte-identical to Run(opts)'s.
+// RunDistributed executes the full study pipeline with each crawl
+// partitioned across d.Partitions work-units under d.Dir. Each crawl
+// phase dispatches its condition's units to worker slots (reassigning
+// and resuming any that die mid-unit), merges their partials, and the
+// serial analysis pipeline runs in its usual order. It is the
+// checkpointed study with more partitions: opts.CheckpointDir becomes
+// d.Dir, and Resume(d.Dir) continues a halted run. The resulting
+// study's bundle artifacts are byte-identical to Run(opts)'s.
 //
 // The returned ledger records every unit's assignments, retries, and
 // wall time; it is returned even on error for post-mortems.
@@ -180,43 +221,9 @@ func RunDistributed(opts Options, d DistribOptions) (*Study, *distrib.Ledger, er
 	if d.Dir == "" {
 		return nil, nil, fmt.Errorf("canvassing: distributed run needs a directory")
 	}
-	// Study-level checkpointing and unit-level checkpointing are
-	// different layers; a distributed run always uses the latter.
-	opts.CheckpointDir = ""
+	opts.CheckpointDir = d.Dir
 	s := New(opts)
-	units := distrib.Partition(distribConditions(opts), len(s.crawlSites), d.Partitions, s.studySpec())
-	spawn := d.Spawn
-	if spawn == nil {
-		spawn = inprocSpawner{s}
-	}
-	coord := &distrib.Coordinator{
-		Dir: d.Dir, Units: units, Spawn: spawn,
-		Slots: d.Slots, MaxAttempts: d.MaxAttempts, Arm: d.Arm,
-	}
-	ledger, err := coord.Run()
-	if err != nil {
-		return s, ledger, err
-	}
-
-	if s.Control, err = s.adoptUnits(d.Dir, units, CondControl); err != nil {
-		return s, ledger, err
-	}
-	s.Analyze()
-	if opts.WithAdblock {
-		if s.ABP, err = s.adoptUnits(d.Dir, units, CondABP); err != nil {
-			return s, ledger, err
-		}
-		s.analyzeABP()
-		if s.UBO, err = s.adoptUnits(d.Dir, units, CondUBO); err != nil {
-			return s, ledger, err
-		}
-		s.analyzeUBO()
-	}
-	if opts.WithM1 {
-		if s.M1, err = s.adoptUnits(d.Dir, units, CondM1); err != nil {
-			return s, ledger, err
-		}
-		s.analyzeM1()
-	}
-	return s, ledger, nil
+	s.dist = d
+	s.run()
+	return s, s.ledger, s.err
 }

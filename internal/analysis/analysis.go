@@ -90,8 +90,7 @@ func (ex *Executor) Cache() *Cache { return ex.cache }
 // each AnalyzeAll then offers one per-shard batch span (kind "batch",
 // condition "analyze.<crawl>"). Batch exemplars describe the actual
 // shard fan-out — a function of the worker count — so the reservoir
-// excludes them from its deterministic selection key. Replay never
-// records batches, mirroring its no-telemetry contract.
+// excludes them from its deterministic selection key.
 func (ex *Executor) SetVisits(r *tracez.Reservoir) { ex.visits = r }
 
 // Runs returns the per-invocation stats in call order.
@@ -109,23 +108,6 @@ func (ex *Executor) Runs() []RunStats {
 // contents are identical to a serial detect.AnalyzeAllEvents call.
 // sink may be nil to disable provenance.
 func (ex *Executor) AnalyzeAll(pages []*crawler.PageResult, sink event.Recorder, crawl string) []detect.SiteCanvases {
-	return ex.run(pages, sink, crawl, false)
-}
-
-// Replay re-derives one crawl's analysis results without touching any
-// externally visible telemetry: no evidence events, no analysis.*
-// counters, no memo-cache hit/miss movement. It exists for checkpoint
-// resume — the replayed analysis was already counted before the
-// checkpoint was written, so the restored registry and event sink
-// must be left exactly as loaded. The memo cache IS warmed (via
-// Cache.Warm), because later, non-replayed analyses count their hits
-// against whatever the cache contains, and an uninterrupted run would
-// have it populated.
-func (ex *Executor) Replay(pages []*crawler.PageResult, crawl string) []detect.SiteCanvases {
-	return ex.run(pages, nil, crawl, true)
-}
-
-func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl string, silent bool) []detect.SiteCanvases {
 	n := len(pages)
 	out := make([]detect.SiteCanvases, n)
 	workers := ex.workers
@@ -159,7 +141,7 @@ func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl 
 	// on; workers fill their own slots, and the offers happen after the
 	// pool drains, in shard order — the executor's commit point.
 	var batches []*tracez.VisitTrace
-	if ex.visits != nil && !silent {
+	if ex.visits != nil {
 		batches = make([]*tracez.VisitTrace, numShards)
 	}
 	condLabel := crawl
@@ -190,7 +172,7 @@ func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl 
 				}
 				shardCanvases := 0
 				for i := lo; i < hi; i++ {
-					out[i] = detect.AnalyzePageMemo(pages[i], rec, crawl, ex.memo(silent))
+					out[i] = detect.AnalyzePageMemo(pages[i], rec, crawl, ex.memo())
 					shardCanvases += len(out[i].All)
 				}
 				if bb != nil {
@@ -226,14 +208,14 @@ func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl 
 	for i := range out {
 		canvases += len(out[i].All)
 	}
-	if ex.tel != nil && !silent {
+	if ex.tel != nil {
 		ex.tel.Metrics.Counter("analysis.pages").Add(int64(n))
 		ex.tel.Metrics.Counter("analysis.canvases").Add(int64(canvases))
 	}
 	if sp != nil {
 		sp.End()
 	}
-	if ex.tel != nil && !silent {
+	if ex.tel != nil {
 		ex.tel.Status.RecordAnalysis(crawl, n, canvases, numShards, workers)
 	}
 
@@ -246,22 +228,10 @@ func (ex *Executor) run(pages []*crawler.PageResult, sink event.Recorder, crawl 
 }
 
 // memo adapts the possibly-nil *Cache to the detect.Memo interface
-// without handing detect a typed-nil interface value. Silent callers
-// get the counter-free warming adapter.
-func (ex *Executor) memo(silent bool) detect.Memo {
+// without handing detect a typed-nil interface value.
+func (ex *Executor) memo() detect.Memo {
 	if ex.cache == nil {
 		return nil
 	}
-	if silent {
-		return warmMemo{ex.cache}
-	}
 	return ex.cache
-}
-
-// warmMemo is the replay adapter: lookups populate and reuse the cache
-// but never move its hit/miss counters.
-type warmMemo struct{ c *Cache }
-
-func (w warmMemo) GetOrCompute(key detect.MemoKey, compute func() detect.Verdict) detect.Verdict {
-	return w.c.Warm(key, compute)
 }

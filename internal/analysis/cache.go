@@ -59,16 +59,22 @@ func NewCache(reg *obs.Registry) *Cache {
 
 // GetOrCompute implements detect.Memo with singleflight semantics.
 func (c *Cache) GetOrCompute(key detect.MemoKey, compute func() detect.Verdict) detect.Verdict {
-	return c.lookup(key, compute, true)
-}
-
-// Warm is GetOrCompute without counter movement: it populates and
-// reuses the cache but records neither hits nor misses. Checkpoint
-// resume replays pre-checkpoint analyses through it — their lookups
-// were already counted in the restored registry, and warming must not
-// count them twice.
-func (c *Cache) Warm(key detect.MemoKey, compute func() detect.Verdict) detect.Verdict {
-	return c.lookup(key, compute, false)
+	sh := &c.shards[shardOf(key)]
+	sh.mu.Lock()
+	e, ok := sh.m[key]
+	if !ok {
+		e = &cacheEntry{ready: make(chan struct{})}
+		sh.m[key] = e
+		sh.mu.Unlock()
+		c.misses.Inc()
+		e.v = compute()
+		close(e.ready)
+		return e.v
+	}
+	sh.mu.Unlock()
+	c.hits.Inc()
+	<-e.ready
+	return e.v
 }
 
 // Seed inserts a precomputed verdict without moving the counters or
@@ -86,29 +92,6 @@ func (c *Cache) Seed(key detect.MemoKey, v detect.Verdict) {
 	e := &cacheEntry{ready: make(chan struct{}), v: v}
 	close(e.ready)
 	sh.m[key] = e
-}
-
-func (c *Cache) lookup(key detect.MemoKey, compute func() detect.Verdict, count bool) detect.Verdict {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	if !ok {
-		e = &cacheEntry{ready: make(chan struct{})}
-		sh.m[key] = e
-		sh.mu.Unlock()
-		if count {
-			c.misses.Inc()
-		}
-		e.v = compute()
-		close(e.ready)
-		return e.v
-	}
-	sh.mu.Unlock()
-	if count {
-		c.hits.Inc()
-	}
-	<-e.ready
-	return e.v
 }
 
 // Hits returns the number of lookups served from the cache.

@@ -30,7 +30,7 @@ func TestCacheSeed(t *testing.T) {
 	}
 	// Seeding an existing key is a no-op: first verdict wins.
 	c.Seed(key, detect.Verdict{})
-	if got := c.Warm(key, func() detect.Verdict { return detect.Verdict{} }); got != want {
+	if got := c.GetOrCompute(key, func() detect.Verdict { return detect.Verdict{} }); got != want {
 		t.Fatalf("re-seed overwrote: %+v", got)
 	}
 	if c.Len() != 1 {
@@ -41,7 +41,7 @@ func TestCacheSeed(t *testing.T) {
 	computed := detect.Verdict{Exclude: detect.AnimationScript}
 	c.GetOrCompute(key2, func() detect.Verdict { return computed })
 	c.Seed(key2, want)
-	if got := c.Warm(key2, func() detect.Verdict { return detect.Verdict{} }); got != computed {
+	if got := c.GetOrCompute(key2, func() detect.Verdict { return detect.Verdict{} }); got != computed {
 		t.Fatalf("Seed overwrote computed entry: %+v", got)
 	}
 }

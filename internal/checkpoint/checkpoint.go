@@ -1,15 +1,16 @@
-// Package checkpoint persists crawl/study progress so a killed run
-// resumes instead of restarting. A checkpoint is a versioned JSON
-// sidecar (checkpoint.json) written atomically next to the run bundle;
-// it captures, at a committed crawl frontier:
+// Package checkpoint persists crawl progress so a killed run resumes
+// instead of restarting. A checkpoint is a versioned JSON sidecar
+// (checkpoint.json) written atomically into the directory of the crawl
+// it belongs to — a work-unit directory of a study (internal/distrib),
+// or the -checkpoint directory of a standalone cmd/crawl run. It
+// captures, at a committed crawl frontier:
 //
-//   - the completed page prefix per crawl condition (the PageResults
+//   - the completed page prefix of the crawl (the PageResults
 //     themselves — replayable verbatim);
 //   - the full metrics-registry snapshot and evidence-event log with
 //     their high-water marks (event seq, dropped count);
 //   - the fault model's cursor (seed + rate + forced plans — PlanFor
-//     is a pure function of those, so nothing else is needed);
-//   - the list of pipeline phases already finished.
+//     is a pure function of those, so nothing else is needed).
 //
 // The crawler's ordered-commit pipeline guarantees the cut is exact:
 // when Config.OnCommit runs, the registry and sink contain writes for
@@ -17,8 +18,12 @@
 // checkpoint equals the state a fresh run would have after crawling
 // exactly that prefix. That equality is what makes interrupted-then-
 // resumed bundles byte-identical to uninterrupted ones (the resume
-// oracle in resume_test.go enforces it at several widths and cut
-// points).
+// oracle in resume_test.go enforces it at several widths, partition
+// counts and cut points).
+//
+// A study holds one Writer for its whole run and hands each work-unit
+// a Unit writer: the study's writer counts every unit's sidecar
+// writes and owns the StopAfter interruption lever.
 package checkpoint
 
 import (
@@ -37,8 +42,10 @@ import (
 
 // SchemaVersion is the checkpoint.json format version. Bump on any
 // shape change; Load rejects every other schema rather than misreading
-// (a v1 sidecar would restore counters no fresh run writes).
-const SchemaVersion = 2
+// (a v1 sidecar would restore counters no fresh run writes; a v2
+// sidecar carries a study phase ledger and a list of crawls, where v3
+// holds one crawl).
+const SchemaVersion = 3
 
 // FileName is the sidecar file a Writer maintains under its directory.
 const FileName = "checkpoint.json"
@@ -46,18 +53,13 @@ const FileName = "checkpoint.json"
 // SnapshotDirName is the snapshot-store subdirectory Save uses.
 const SnapshotDirName = "snapshots"
 
-// CrawlState is one crawl condition's committed progress.
+// CrawlState is a crawl's committed progress.
 type CrawlState struct {
 	// Condition labels the crawl ("control", "abp", ...).
 	Condition string `json:"condition"`
 	// Total is the site count; Frontier the committed prefix length.
 	Total    int `json:"total"`
 	Frontier int `json:"frontier"`
-	// Done marks a crawl that ran to completion.
-	Done bool `json:"done,omitempty"`
-	// Machine and Extension mirror crawler.Result for reconstruction.
-	Machine   string `json:"machine,omitempty"`
-	Extension string `json:"extension,omitempty"`
 	// Pages is the committed page prefix, verbatim.
 	Pages []*crawler.PageResult `json:"pages"`
 }
@@ -67,13 +69,11 @@ type Checkpoint struct {
 	Schema int `json:"schema"`
 	// Sequence counts checkpoint writes, monotonically across resumes.
 	Sequence int `json:"seq"`
-	// Opts is the run configuration as the caller serialized it; Resume
-	// uses it to verify it is continuing the same study.
+	// Opts is the run configuration as the caller serialized it; a
+	// resuming caller uses it to verify it is continuing the same crawl.
 	Opts json.RawMessage `json:"opts,omitempty"`
-	// Phases lists pipeline phases that finished, in completion order.
-	Phases []string `json:"phases,omitempty"`
-	// Crawls holds per-condition progress, in start order.
-	Crawls []*CrawlState `json:"crawls,omitempty"`
+	// Crawl is the crawl's progress (nil before its first commit).
+	Crawl *CrawlState `json:"crawl,omitempty"`
 	// Metrics is the full registry snapshot at the cut.
 	Metrics obs.Snapshot `json:"metrics"`
 	// Events is the retained evidence log with its high-water marks.
@@ -86,31 +86,8 @@ type Checkpoint struct {
 	HasSnapshots bool `json:"has_snapshots,omitempty"`
 }
 
-// Crawl returns the state recorded for condition (nil if none).
-func (cp *Checkpoint) Crawl(condition string) *CrawlState {
-	for _, c := range cp.Crawls {
-		if c.Condition == condition {
-			return c
-		}
-	}
-	return nil
-}
-
-// PhaseDone reports whether name is in the finished-phase list.
-func (cp *Checkpoint) PhaseDone(name string) bool {
-	for _, p := range cp.Phases {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Writer maintains the checkpoint sidecar for one run. It is driven
-// from two places: the crawler's committer goroutine (via Hook) and
-// the study's phase boundaries (via FinishPhase). A mutex serializes
-// them; in practice they never overlap, since phases and crawls are
-// sequential.
+// Writer maintains the checkpoint sidecar for one crawl, driven from
+// the crawler's committer goroutine (via Commit).
 type Writer struct {
 	// Metrics, Events, Faults, Snapshots are the live state sources the
 	// writer captures at each cut. Set them before the first write.
@@ -118,17 +95,20 @@ type Writer struct {
 	Events    *event.Sink
 	Faults    *netsim.FaultModel
 	Snapshots *snapshot.Store
-	// StopAfter, when positive, makes the Hook request a crawl stop
-	// after that many checkpoint writes — the interruption lever the
+	// StopAfter, when positive, makes Commit request a crawl stop
+	// after that many checkpoint writes — counted over this writer and
+	// every Unit writer under it. It is the interruption lever the
 	// resume oracle and `make resume-smoke` pull. 0 never stops.
 	StopAfter int
-	// Status, when set, is told about every successful sidecar write so
-	// /statusz can report live checkpoint state. It is an observer only:
-	// nothing from it enters the checkpoint document.
+	// Status, when set, is told about every successful sidecar write
+	// (this writer's or a unit's) so /statusz can report live
+	// checkpoint state. It is an observer only: nothing from it enters
+	// the checkpoint document.
 	Status *obs.Status
 
-	dir   string
-	every int
+	dir    string
+	every  int
+	parent *Writer // the study writer a Unit writer reports to
 
 	mu      sync.Mutex
 	cp      *Checkpoint
@@ -138,7 +118,7 @@ type Writer struct {
 
 // NewWriter returns a writer that checkpoints into dir every `every`
 // committed pages (<=0 selects 256). Pass Every() as the crawl
-// config's CommitEvery.
+// config's CommitEvery and Commit as its OnCommit.
 func NewWriter(dir string, every int) *Writer {
 	if every <= 0 {
 		every = 256
@@ -150,20 +130,30 @@ func NewWriter(dir string, every int) *Writer {
 	}
 }
 
+// Unit returns a writer for the sidecar in dir (a work-unit's
+// directory) with w's cadence. Its writes count toward w: w.Writes
+// includes them, w.StopAfter stops them, and w.Status hears of them.
+func (w *Writer) Unit(dir string) *Writer {
+	u := NewWriter(dir, w.every)
+	u.parent = w
+	return u
+}
+
 // Every returns the checkpoint cadence in committed pages.
 func (w *Writer) Every() int { return w.every }
 
 // Dir returns the checkpoint directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// Writes returns how many checkpoints this writer has written.
+// Writes returns how many checkpoints this writer and its Unit writers
+// have written.
 func (w *Writer) Writes() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.writes
 }
 
-// Stopped reports whether the Hook requested a stop (StopAfter hit).
+// Stopped reports whether this writer's StopAfter lever fired.
 func (w *Writer) Stopped() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -182,37 +172,30 @@ func (w *Writer) SetOpts(v any) error {
 	return nil
 }
 
-// Adopt continues a loaded checkpoint: sequence numbering and finished
-// phases carry over, so a resumed run's sidecar is a continuation, not
-// a restart.
+// Adopt continues a loaded checkpoint: sequence numbering and crawl
+// state carry over, so a resumed run's sidecar is a continuation, not a
+// restart.
 func (w *Writer) Adopt(cp *Checkpoint) {
 	w.mu.Lock()
 	w.cp = cp
 	w.mu.Unlock()
 }
 
-// Hook returns the crawler OnCommit callback for one crawl. Each
-// invocation snapshots the live sources, updates the condition's
-// CrawlState, and rewrites the sidecar atomically.
-func (w *Writer) Hook(machine, extension string) func(crawler.CommitState) bool {
-	return func(st crawler.CommitState) bool {
-		return w.commit(st, machine, extension)
-	}
-}
-
-func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool {
+// Commit is the crawler's OnCommit callback for the writer's crawl: it
+// snapshots the live sources, updates the CrawlState, rewrites the
+// sidecar atomically, and reports whether a StopAfter lever asks the
+// crawl to stop.
+func (w *Writer) Commit(st crawler.CommitState) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cs := w.cp.Crawl(st.Condition)
+	cs := w.cp.Crawl
 	if cs == nil {
-		cs = &CrawlState{Condition: st.Condition}
-		w.cp.Crawls = append(w.cp.Crawls, cs)
+		cs = &CrawlState{}
+		w.cp.Crawl = cs
 	}
+	cs.Condition = st.Condition
 	cs.Total = st.Total
 	cs.Frontier = st.Frontier
-	cs.Done = st.Final
-	cs.Machine = machine
-	cs.Extension = extension
 	cs.Pages = append(cs.Pages[:0], st.Pages...)
 	if err := w.writeLocked(); err != nil {
 		// A failed checkpoint write must not corrupt the crawl; the run
@@ -221,21 +204,27 @@ func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool 
 		fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 		return false
 	}
-	if w.StopAfter > 0 && w.writes >= w.StopAfter && !st.Final {
-		w.stopped = true
-		return true
+	stop := w.tallyLocked(st.Final)
+	if p := w.parent; p != nil {
+		p.mu.Lock()
+		if p.tallyLocked(st.Final) {
+			stop = true
+		}
+		p.mu.Unlock()
 	}
-	return false
+	return stop
 }
 
-// FinishPhase records a completed pipeline phase and checkpoints.
-func (w *Writer) FinishPhase(name string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.cp.PhaseDone(name) {
-		w.cp.Phases = append(w.cp.Phases, name)
+// tallyLocked counts one sidecar write at w and reports whether w's
+// StopAfter lever has fired. A final commit is never stopped: there is
+// nothing left to interrupt. Callers hold w.mu.
+func (w *Writer) tallyLocked(final bool) bool {
+	w.writes++
+	if w.StopAfter > 0 && w.writes >= w.StopAfter && !final {
+		w.stopped = true
 	}
-	return w.writeLocked()
+	w.Status.CheckpointWrite(w.dir, w.writes, w.stopped)
+	return w.stopped && !final
 }
 
 // writeLocked captures the live sources into the document and writes
@@ -267,12 +256,7 @@ func (w *Writer) writeLocked() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(w.dir, FileName), append(data, '\n')); err != nil {
-		return err
-	}
-	w.writes++
-	w.Status.CheckpointWrite(w.dir, w.writes, w.stopped)
-	return nil
+	return atomicWrite(filepath.Join(w.dir, FileName), append(data, '\n'))
 }
 
 // Load reads and validates a checkpoint sidecar from dir.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"canvassing/internal/crawler"
@@ -52,12 +53,11 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hook := w.Hook("intel-mac", "abp-sim")
-	if hook(commitState(128, 600, false)) {
-		t.Fatal("hook with StopAfter=0 requested a stop")
-	}
-	if err := w.FinishPhase("crawl.control"); err != nil {
-		t.Fatal(err)
+	hook := w.Commit
+	for _, frontier := range []int{64, 128} {
+		if hook(commitState(frontier, 600, false)) {
+			t.Fatal("hook with StopAfter=0 requested a stop")
+		}
 	}
 
 	cp, err := Load(dir)
@@ -70,18 +70,12 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if cp.Sequence != 2 {
 		t.Fatalf("sequence = %d after two writes, want 2", cp.Sequence)
 	}
-	if !cp.PhaseDone("crawl.control") || cp.PhaseDone("analyze") {
-		t.Fatalf("phases = %v", cp.Phases)
-	}
-	cs := cp.Crawl("control")
-	if cs == nil {
+	cs := cp.Crawl
+	if cs == nil || cs.Condition != "control" {
 		t.Fatal("control crawl state missing")
 	}
-	if cs.Frontier != 128 || cs.Total != 600 || cs.Done {
+	if cs.Frontier != 128 || cs.Total != 600 {
 		t.Fatalf("crawl state = %+v", cs)
-	}
-	if cs.Machine != "intel-mac" || cs.Extension != "abp-sim" {
-		t.Fatalf("machine/extension = %q/%q", cs.Machine, cs.Extension)
 	}
 	if len(cs.Pages) != 128 {
 		t.Fatalf("pages = %d, want 128", len(cs.Pages))
@@ -99,9 +93,6 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if restored.PlanFor("down.example").Kind != netsim.FaultOutage {
 		t.Fatal("forced fault plan lost in the cursor roundtrip")
 	}
-	if cp.Crawl("abp") != nil {
-		t.Fatal("phantom crawl state")
-	}
 }
 
 // TestHookStopAfter: the interruption lever. The stopping write must
@@ -111,7 +102,7 @@ func TestHookStopAfter(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := testWriter(t, dir)
 	w.StopAfter = 2
-	hook := w.Hook("intel-mac", "")
+	hook := w.Commit
 	if hook(commitState(64, 600, false)) {
 		t.Fatal("stopped before StopAfter writes")
 	}
@@ -126,28 +117,24 @@ func TestHookStopAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := cp.Crawl("control"); cs == nil || cs.Frontier != 128 {
-		t.Fatalf("stopping write not on disk: %+v", cp.Crawls)
+	if cs := cp.Crawl; cs == nil || cs.Frontier != 128 {
+		t.Fatalf("stopping write not on disk: %+v", cs)
 	}
 
 	w2, _ := testWriter(t, t.TempDir())
 	w2.StopAfter = 1
-	if w2.Hook("intel-mac", "")(commitState(600, 600, true)) {
+	if w2.Commit(commitState(600, 600, true)) {
 		t.Fatal("a Final commit must never be stopped")
 	}
 }
 
 // TestAdoptContinuesSequence: a resumed run's writer inherits the
-// loaded document, so sequence numbers and finished phases continue
-// instead of restarting.
+// loaded document, so sequence numbers and crawl state continue instead
+// of restarting.
 func TestAdoptContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := testWriter(t, dir)
-	hook := w.Hook("intel-mac", "")
-	hook(commitState(64, 600, false))
-	if err := w.FinishPhase("crawl.control"); err != nil {
-		t.Fatal(err)
-	}
+	w.Commit(commitState(64, 600, false))
 	cp, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +143,7 @@ func TestAdoptContinuesSequence(t *testing.T) {
 	w2, _ := testWriter(t, dir)
 	w2.Adopt(cp)
 	wantSeq := cp.Sequence + 1 // Adopt shares the document, so read before writing
-	if err := w2.FinishPhase("analyze"); err != nil {
-		t.Fatal(err)
-	}
+	w2.Commit(commitState(128, 600, false))
 	cp2, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -166,25 +151,71 @@ func TestAdoptContinuesSequence(t *testing.T) {
 	if cp2.Sequence != wantSeq {
 		t.Fatalf("sequence = %d, want %d (continuation, not restart)", cp2.Sequence, wantSeq)
 	}
-	if !cp2.PhaseDone("crawl.control") || !cp2.PhaseDone("analyze") {
-		t.Fatalf("phases lost across Adopt: %v", cp2.Phases)
+	if cs := cp2.Crawl; cs == nil || cs.Frontier != 128 {
+		t.Fatalf("crawl state across Adopt = %+v", cs)
 	}
-	if cp2.Crawl("control") == nil {
-		t.Fatal("crawl state lost across Adopt")
+}
+
+// TestUnitWritesCountTowardParent: a Unit writer keeps its own sidecar
+// and its own StopAfter, while the parent counts every unit's writes,
+// reports them to its Status, and stops any unit once its own StopAfter
+// is reached — the study-wide interruption lever.
+func TestUnitWritesCountTowardParent(t *testing.T) {
+	root := t.TempDir()
+	study := NewWriter(root, 64)
+	study.Status = obs.NewStatus()
+	study.StopAfter = 3
+
+	a := study.Unit(filepath.Join(root, "a"))
+	b := study.Unit(filepath.Join(root, "b"))
+	if a.Every() != 64 {
+		t.Fatalf("unit cadence = %d, want the parent's 64", a.Every())
 	}
-	// Finishing an already-finished phase must not duplicate it.
-	if err := w2.FinishPhase("analyze"); err != nil {
+	if a.Commit(commitState(64, 600, false)) {
+		t.Fatal("write 1 stopped")
+	}
+	if b.Commit(commitState(600, 600, true)) {
+		t.Fatal("a final commit must never be stopped")
+	}
+	if !a.Commit(commitState(128, 600, false)) {
+		t.Fatal("study-wide write 3 did not stop the unit")
+	}
+	if study.Writes() != 3 || a.Writes() != 2 || b.Writes() != 1 {
+		t.Fatalf("writes: study %d, a %d, b %d; want 3, 2, 1", study.Writes(), a.Writes(), b.Writes())
+	}
+	if !study.Stopped() || a.Stopped() {
+		t.Fatalf("stopped: study %v, unit %v; the parent's lever fired, not the unit's", study.Stopped(), a.Stopped())
+	}
+	if st := study.Status.Snapshot().Checkpoint; st == nil || st.Dir != root || st.Writes != 3 || !st.Stopped {
+		t.Fatalf("status = %+v, want 3 writes under %s, stopped", st, root)
+	}
+	if _, err := Load(root); err == nil {
+		t.Fatal("the study writer itself wrote a sidecar")
+	}
+	cp, err := Load(filepath.Join(root, "a"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	cp3, _ := Load(dir)
-	count := 0
-	for _, p := range cp3.Phases {
-		if p == "analyze" {
-			count++
-		}
+	if cs := cp.Crawl; cs == nil || cs.Frontier != 128 {
+		t.Fatalf("unit sidecar = %+v", cs)
 	}
-	if count != 1 {
-		t.Fatalf("phase recorded %d times", count)
+
+	// Units of one condition commit concurrently; every write counts.
+	par := NewWriter(root, 64)
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		u := par.Unit(filepath.Join(root, "par", fmt.Sprint(k)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 5; i++ {
+				u.Commit(commitState(i*64, 600, false))
+			}
+		}()
+	}
+	wg.Wait()
+	if par.Writes() != 20 {
+		t.Fatalf("concurrent units: study counted %d writes, want 20", par.Writes())
 	}
 }
 
@@ -193,7 +224,7 @@ func TestAdoptContinuesSequence(t *testing.T) {
 func TestAtomicSidecar(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := testWriter(t, dir)
-	hook := w.Hook("intel-mac", "")
+	hook := w.Commit
 	for i := 1; i <= 5; i++ {
 		hook(commitState(i*64, 600, false))
 		if _, err := Load(dir); err != nil {
@@ -228,7 +259,7 @@ func TestSnapshotSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Snapshots.Account([]string{u.String()})
-	w.Hook("intel-mac", "")(commitState(64, 600, false))
+	w.Commit(commitState(64, 600, false))
 
 	cp, err := Load(dir)
 	if err != nil {
@@ -287,6 +318,26 @@ func TestLoadRejectsV1Checkpoint(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsV2Checkpoint: a v2 sidecar is a whole study's, with
+// a phase ledger and every condition's pages; nothing reads that shape
+// any more. Load refuses it and names both schema versions.
+func TestLoadRejectsV2Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	data := []byte(`{"schema": 2, "seq": 9, "phases": ["crawl.control", "analyze"],
+  "crawls": [{"condition": "control", "total": 10, "frontier": 10, "done": true, "pages": []}],
+  "metrics": {"counters": {"crawl.visits.ok": 10}}}`)
+	if err := os.WriteFile(filepath.Join(dir, FileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir)
+	if err == nil {
+		t.Fatal("Load accepted a v2 checkpoint")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "v2") || !strings.Contains(msg, "v3") {
+		t.Fatalf("error %q must name both the found and the supported schema", msg)
+	}
+}
+
 // TestCheckpointJSONSafe guards the marshal path against the +Inf
 // histogram-bound hazard: a registry with populated histograms (whose
 // top bucket bound is +Inf) must checkpoint and reload cleanly.
@@ -303,9 +354,7 @@ func TestCheckpointJSONSafe(t *testing.T) {
 	}
 	w.Metrics = tel.Metrics
 	w.Events = tel.Events
-	if err := w.FinishPhase("analyze"); err != nil {
-		t.Fatal(err)
-	}
+	w.Commit(commitState(64, 600, false))
 	cp, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)

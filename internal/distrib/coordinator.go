@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"canvassing/internal/bundle"
@@ -19,6 +20,12 @@ import (
 // mid-unit stop (same convention as cmd/repro's -interrupt-after).
 const ExitInterrupted = 3
 
+// ErrHalted is what a Spawner returns when the run as a whole was told
+// to stop (a study's StopAfter lever fired), as opposed to one worker
+// dying. The coordinator releases the unit, dispatches nothing more,
+// and returns ErrHalted; the run resumes from its directory.
+var ErrHalted = errors.New("distrib: run halted")
+
 // Spawner runs one attempt of a work-unit. Implementations: the root
 // package's in-process runner (unit crawls share the study's generated
 // web) and ProcessSpawner (each attempt is a spawned worker process
@@ -27,7 +34,8 @@ type Spawner interface {
 	// Run executes the unit in dir. stopAfter > 0 arms the checkpoint
 	// interruption lever for chaos testing. interrupted reports a
 	// mid-unit stop (the unit stays resumable), resumed that the attempt
-	// picked up an existing checkpoint sidecar.
+	// picked up an existing checkpoint sidecar. An err wrapping
+	// ErrHalted halts the whole run.
 	Run(dir string, spec UnitSpec, stopAfter int) (interrupted, resumed bool, err error)
 }
 
@@ -37,14 +45,15 @@ func UnitDir(runDir, unitID string) string {
 	return filepath.Join(runDir, "units", unitID)
 }
 
-// Coordinator drives a distributed run: it writes every unit spec,
-// dispatches units to a fixed pool of worker slots, reassigns a failed
-// or interrupted unit to the next free slot (where it resumes from its
-// checkpoint sidecar), and keeps the ledger current throughout.
+// Coordinator drives a distributed run: it dispatches units to a fixed
+// pool of worker slots, reassigns a failed or interrupted unit to the
+// next free slot (where it resumes from its checkpoint sidecar), and
+// keeps the ledger current throughout.
 type Coordinator struct {
 	// Dir is the run root; units live under Dir/units/<id>.
 	Dir string
-	// Units is the partition (see Partition).
+	// Units are the units to dispatch (see Partition); units the ledger
+	// already holds as done are skipped.
 	Units []UnitSpec
 	// Spawn runs unit attempts.
 	Spawn Spawner
@@ -60,57 +69,57 @@ type Coordinator struct {
 	Arm map[string]int
 }
 
-// Run executes the distributed crawl phase and returns the final
-// ledger. The returned error (if any) is the first unit abort; the
-// ledger is returned alongside it for post-mortems.
-func (c *Coordinator) Run() (*Ledger, error) {
-	if len(c.Units) == 0 {
-		return nil, fmt.Errorf("distrib: no units to run")
-	}
+// Run dispatches every unit of c.Units not yet done in the ledger (see
+// Plan and Reopen) and returns once each is done, or the run aborted
+// or halted. The returned error is the first unit abort, or ErrHalted.
+func (c *Coordinator) Run(ledger *Ledger) error {
 	if c.Spawn == nil {
-		return nil, fmt.Errorf("distrib: coordinator without a spawner")
-	}
-	slots := c.Slots
-	if slots <= 0 {
-		slots = 4
+		return fmt.Errorf("distrib: coordinator without a spawner")
 	}
 	maxAttempts := c.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 3
 	}
-	byID := make(map[string]UnitSpec, len(c.Units))
-	for _, u := range c.Units {
-		dir := UnitDir(c.Dir, u.ID)
-		if err := WriteUnitSpec(dir, u); err != nil {
-			return nil, err
-		}
-		byID[u.ID] = u
+	done := map[string]bool{}
+	for _, r := range ledger.Records() {
+		done[r.ID] = r.Status == UnitDone
 	}
-	ledger, err := NewLedger(c.Dir, c.Units)
-	if err != nil {
-		return nil, err
+	byID := make(map[string]UnitSpec, len(c.Units))
+	var order []string
+	for _, u := range c.Units {
+		if !done[u.ID] {
+			byID[u.ID] = u
+			order = append(order, u.ID)
+		}
+	}
+	if len(order) == 0 {
+		return nil
+	}
+	slots := c.Slots
+	if slots <= 0 {
+		slots = 4
+	}
+	if slots > len(order) {
+		slots = len(order)
 	}
 
 	// Dispatch order is a seeded shuffle — scheduling must not matter,
 	// and shuffling makes sure the oracle would catch it if it did. The
 	// partition itself (the ranges) is never shuffled.
-	order := make([]string, len(c.Units))
-	for i, u := range c.Units {
-		order[i] = u.ID
-	}
 	rng := rand.New(rand.NewSource(int64(c.Units[0].Study.Seed)))
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	// Every unit is either queued or owned by exactly one slot, so a
 	// requeue can never race the close: close fires only when all units
 	// reached a terminal state, at which point no slot holds one.
-	jobs := make(chan string, len(c.Units)*maxAttempts)
+	jobs := make(chan string, len(order)*maxAttempts)
 	for _, id := range order {
 		jobs <- id
 	}
 	var mu sync.Mutex
-	remaining := len(c.Units)
+	remaining := len(order)
 	var firstErr error
+	var halted atomic.Bool
 	finish := func(abort error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -122,13 +131,16 @@ func (c *Coordinator) Run() (*Ledger, error) {
 			close(jobs)
 		}
 	}
-
 	var wg sync.WaitGroup
 	for k := 0; k < slots; k++ {
 		wg.Add(1)
 		go func(worker string) {
 			defer wg.Done()
 			for id := range jobs {
+				if halted.Load() {
+					finish(nil) // stays pending for the resumed run
+					continue
+				}
 				spec := byID[id]
 				attempt, err := ledger.Assign(id, worker)
 				if err != nil {
@@ -158,6 +170,11 @@ func (c *Coordinator) Run() (*Ledger, error) {
 					finish(lerr)
 					continue
 				}
+				if errors.Is(rerr, ErrHalted) {
+					halted.Store(true)
+					finish(nil)
+					continue
+				}
 				if attempt >= maxAttempts {
 					abortErr := fmt.Errorf("distrib: unit %s failed %d of %d attempts: %s", id, attempt, maxAttempts, note)
 					if aerr := ledger.Abort(id, fmt.Sprintf("attempt budget (%d) exhausted", maxAttempts)); aerr != nil {
@@ -171,7 +188,10 @@ func (c *Coordinator) Run() (*Ledger, error) {
 		}(fmt.Sprintf("w%d", k))
 	}
 	wg.Wait()
-	return ledger, firstErr
+	if firstErr == nil && halted.Load() {
+		return ErrHalted
+	}
+	return firstErr
 }
 
 // ProcessSpawner runs each unit attempt as a spawned worker process —

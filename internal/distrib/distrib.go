@@ -1,18 +1,22 @@
-// Package distrib partitions a study's crawl across worker processes
-// and deterministically recombines the partial results — the
-// coordinator/worker split ROADMAP item 2 names, built on the
-// primitives PRs 4–7 landed: the crawler's ordered-commit pipeline,
-// the checkpoint sidecar, the content-addressed snapshot store, and
-// the byte-stable bundle discipline.
+// Package distrib runs a study's crawls as work-units and
+// deterministically recombines their partial results. It is the
+// study's one execution model for durable crawls: a checkpointed study
+// is a one-partition run of it (one unit per condition, in-process),
+// and a distributed study the same with more partitions, optionally
+// over worker processes. It builds on the crawler's ordered-commit
+// pipeline, the checkpoint sidecar, the content-addressed snapshot
+// store, and the byte-stable bundle discipline.
 //
-// The shape of a distributed study:
+// The shape of a run:
 //
-//   - the coordinator partitions each crawl condition's site frontier
-//     into contiguous work-units (Partition) and records them in a
-//     file-based ledger (Ledger);
-//   - N workers each run their unit as a normal checkpointed crawl
-//     slice (RunUnit) and emit a partial bundle + snapshot delta
-//     (WritePartial) into the unit directory;
+//   - Partition cuts each crawl condition's site frontier into
+//     contiguous work-units, and Plan records them — unit specs plus a
+//     file-based ledger (Ledger) — in the run directory; Reopen picks
+//     an interrupted run up from that directory;
+//   - the Coordinator dispatches units to worker slots; each runs its
+//     unit as a normal checkpointed crawl slice (RunUnit) and emits a
+//     partial bundle + snapshot delta (WritePartial) into the unit
+//     directory;
 //   - a deterministic merge (MergeCrawl) recombines the partials of
 //     one condition: pages concatenated in range order, events
 //     re-sequenced by page ordinal, counters summed, histograms added
@@ -23,8 +27,9 @@
 // width-invariance the commit-order rules already guarantee: the
 // merged study's manifest, events.jsonl, report, and deterministic
 // metrics projection are byte-identical to the single-process run at
-// any partition count — TestDistribPartitionOracle enforces it, clean
-// and fault-injected, including a kill-and-resume worker.
+// any partition count and after any interruption — TestResumeOracle
+// enforces it, clean and fault-injected, including killed workers and
+// halted-then-resumed studies.
 //
 // Crash tolerance rides on the checkpoint sidecar: a unit's directory
 // holds checkpoint.json while the unit runs, a dead worker's unit is

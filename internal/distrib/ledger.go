@@ -82,6 +82,57 @@ func NewLedger(dir string, units []UnitSpec) (*Ledger, error) {
 	return l, nil
 }
 
+// Plan starts a run in dir: it writes every unit's spec into its unit
+// directory, so process workers are self-contained, and a fresh ledger
+// over units.
+func Plan(dir string, units []UnitSpec) (*Ledger, error) {
+	for _, u := range units {
+		if err := WriteUnitSpec(UnitDir(dir, u.ID), u); err != nil {
+			return nil, err
+		}
+	}
+	return NewLedger(dir, units)
+}
+
+// Reopen continues the run Plan started in dir: it loads the ledger
+// and every unit spec, in partition order. A unit the ledger holds as
+// running belonged to a process that died; it becomes pending again,
+// and its next attempt resumes from its checkpoint sidecar.
+func Reopen(dir string) (*Ledger, []UnitSpec, error) {
+	recs, err := LoadLedgerRecords(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(recs) == 0 {
+		return nil, nil, fmt.Errorf("distrib: ledger in %s lists no units", dir)
+	}
+	l := &Ledger{path: filepath.Join(dir, LedgerFile), index: make(map[string]*UnitRecord, len(recs))}
+	units := make([]UnitSpec, 0, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		spec, err := ReadUnitSpec(UnitDir(dir, rec.ID))
+		if err != nil {
+			return nil, nil, err
+		}
+		if spec.ID != rec.ID || spec.Condition != rec.Condition || spec.Start != rec.Start || spec.End != rec.End {
+			return nil, nil, fmt.Errorf("distrib: unit %s spec does not match its ledger row", rec.ID)
+		}
+		if _, dup := l.index[rec.ID]; dup {
+			return nil, nil, fmt.Errorf("distrib: duplicate unit id %s", rec.ID)
+		}
+		if rec.Status == UnitRunning {
+			rec.Status = UnitPending
+		}
+		l.records = append(l.records, rec)
+		l.index[rec.ID] = rec
+		units = append(units, spec)
+	}
+	if err := l.saveLocked(); err != nil {
+		return nil, nil, err
+	}
+	return l, units, nil
+}
+
 // Assign marks a pending unit as running on worker and returns the
 // attempt number (1 for the first try).
 func (l *Ledger) Assign(id, worker string) (int, error) {

@@ -9,7 +9,6 @@ import (
 
 	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
-	"canvassing/internal/machine"
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/tracez"
@@ -32,41 +31,45 @@ type Env struct {
 	// Config is the exact crawler configuration the single-process study
 	// would use for this condition (profile, extension, consent, faults,
 	// seed). RunUnit overrides the distribution-specific fields:
-	// telemetry, snapshots, exemplar reservoir, commit cadence, resume
-	// state, and the page-index offset.
+	// telemetry (a fresh registry and event log per unit; live progress
+	// still goes to this Config's Status), snapshots, exemplar
+	// reservoir, commit cadence, resume state, and the page-index
+	// offset.
 	Config crawler.Config
 }
 
-// RunUnit executes one work-unit inside dir as a normal checkpointed
-// crawl slice and, on completion, writes the partial bundle and
-// removes the checkpoint sidecar (in that order — the sidecar's
-// presence is what marks the partial unusable). A sidecar already in
-// dir resumes the unit from its committed frontier; resumed reports
-// that. stopAfter > 0 arms the checkpoint writer's interruption lever:
-// the unit stops (exit for reassignment, interrupted == true) after
-// that many checkpoint writes — the fault-injection hook the chaos
-// tests pull.
-func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, resumed bool, err error) {
+// RunUnit executes one work-unit in w's directory as a normal
+// checkpointed crawl slice and, on completion, writes the partial
+// bundle and removes the checkpoint sidecar (in that order — the
+// sidecar's presence is what marks the partial unusable). A sidecar
+// already in the directory resumes the unit from its committed
+// frontier; resumed reports that. w.StopAfter, or the StopAfter of the
+// writer w is a Unit of, stops the unit mid-way (interrupted == true) —
+// the interruption lever the chaos tests and the resume oracle pull.
+func RunUnit(w *checkpoint.Writer, spec UnitSpec, env Env) (interrupted, resumed bool, err error) {
 	if err := spec.validate(); err != nil {
 		return false, false, err
 	}
 	if len(env.Sites) != spec.Total {
 		return false, false, fmt.Errorf("distrib: unit %s expects a %d-site frontier, env holds %d", spec.ID, spec.Total, len(env.Sites))
 	}
+	dir := w.Dir()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return false, false, fmt.Errorf("distrib: %w", err)
 	}
 
 	tel := obs.NewTelemetry()
+	if env.Config.Telemetry != nil {
+		// Live progress (outside every artifact) goes to the caller's
+		// tracker, so /statusz follows the unit's frontier.
+		tel.Status = env.Config.Telemetry.Status
+	}
 	cfg := env.Config
 	cfg.Telemetry = tel
 	cfg.Workers = spec.Study.Workers
 	cfg.Seed = spec.Study.Seed
 	cfg.Condition = spec.Condition
 	cfg.PageIndexOffset = spec.Start
-	if cfg.Profile == nil {
-		cfg.Profile = machine.Intel()
-	}
 
 	var visits *tracez.Reservoir
 	cfg.Visits = nil
@@ -82,9 +85,7 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 		snaps = snapshot.New()
 	}
 
-	ckpt := checkpoint.NewWriter(dir, spec.Study.CheckpointEvery)
-	ckpt.StopAfter = stopAfter
-	if err := ckpt.SetOpts(spec); err != nil {
+	if err := w.SetOpts(spec); err != nil {
 		return false, false, fmt.Errorf("distrib: %w", err)
 	}
 
@@ -115,10 +116,10 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 				return false, true, err
 			}
 		}
-		if cs := cp.Crawl(spec.Condition); cs != nil {
-			resume = cs.Pages
+		if cp.Crawl != nil {
+			resume = cp.Crawl.Pages
 		}
-		ckpt.Adopt(cp)
+		w.Adopt(cp)
 	case errors.Is(lerr, os.ErrNotExist):
 		// Fresh unit.
 	default:
@@ -127,18 +128,13 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	if snaps != nil {
 		cfg.Snapshots = snaps
 	}
-	ckpt.Metrics = tel.Metrics
-	ckpt.Events = tel.Events
-	ckpt.Faults = cfg.Faults
-	ckpt.Snapshots = snaps
-	cfg.CommitEvery = ckpt.Every()
+	w.Metrics = tel.Metrics
+	w.Events = tel.Events
+	w.Faults = cfg.Faults
+	w.Snapshots = snaps
+	cfg.CommitEvery = w.Every()
+	cfg.OnCommit = w.Commit
 	cfg.Resume = resume
-
-	ext := ""
-	if cfg.Extension != nil {
-		ext = cfg.Extension.Name()
-	}
-	cfg.OnCommit = ckpt.Hook(cfg.Profile.Name, ext)
 
 	res := crawler.Crawl(env.Web, env.Sites[spec.Start:spec.End], cfg)
 	if res.Interrupted {

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunawayRecursionIsRangeError: unbounded recursion stops at the
@@ -47,5 +48,32 @@ func TestParseNestingLimit(t *testing.T) {
 	}
 	if v := run(t, "var x = "+strings.Repeat("[", 500)+"7"+strings.Repeat("]", 500)+"; x.length"); v.Num() != 1 {
 		t.Fatalf("500-deep array literal: length = %v, want 1", v.Num())
+	}
+}
+
+// TestDeepArrayRendering: an array nested far past maxCallDepth by a
+// loop (no parser nesting involved) renders and serializes in bounded
+// time and stack. ToString renders the part past the limit as "", the
+// same as a cycle; JSON.stringify throws a catchable RangeError.
+// Without the bound, both recurse once per level and rescan the whole
+// path at each level, which at this depth takes many seconds.
+func TestDeepArrayRendering(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(256 << 20))
+	in := New(Options{MaxSteps: 50_000_000})
+	const build = `var a = []; for (var i = 0; i < 100000; i++) a = [a];`
+	start := time.Now()
+	v, err := in.RunSource(build + ` String(a).length`)
+	if err != nil || v.Num() != 0 {
+		t.Fatalf("String of a deep array = %v, %v; want the empty string", v, err)
+	}
+	v, err = in.RunSource(`var r = ''; try { JSON.stringify(a) } catch (e) { r = e.name } r`)
+	if err != nil || v.Str() != "RangeError" {
+		t.Fatalf("JSON.stringify of a deep array = %v, %v; want a caught RangeError", v, err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("deep array rendering took %v", d)
+	}
+	if got := run(t, `var b = 1; for (var i = 0; i < 50; i++) b = [b]; JSON.stringify(b).length`); got.Num() != 101 {
+		t.Fatalf("50-deep JSON.stringify length = %v, want 101", got.Num())
 	}
 }

@@ -203,8 +203,13 @@ func (v Value) Str() string {
 // joinArray renders an array's elements joined by sep, nullish ones as
 // "". active holds the arrays already being rendered further up: an
 // array that contains itself renders as "" at the point of the cycle,
-// as browsers do, instead of recursing forever.
+// as browsers do, instead of recursing forever. Nesting past
+// maxCallDepth renders as "" the same way, which bounds both the
+// recursion and the cycle scans.
 func joinArray(o *Object, sep string, active []*Object) string {
+	if len(active) >= maxCallDepth {
+		return ""
+	}
 	for _, a := range active {
 		if a == o {
 			return ""
@@ -301,7 +306,7 @@ func LooseEquals(a, b Value) bool {
 // JSONStringify implements JSON.stringify for the supported value kinds.
 // Functions and host objects serialize as null (close enough to JS, which
 // drops/nulls them depending on position). A cyclic value is a TypeError,
-// as in browsers.
+// as in browsers; objects nested past maxCallDepth are a RangeError.
 func JSONStringify(v Value) (string, error) { return jsonStringify(v, nil) }
 
 // jsonStringify serializes v; active holds the objects already being
@@ -319,6 +324,9 @@ func jsonStringify(v Value, active []*Object) (string, error) {
 	case KindObject:
 		if v.IsCallable() || v.obj.Host != nil {
 			return "null", nil
+		}
+		if len(active) >= maxCallDepth {
+			return "", &RuntimeError{Name: "RangeError", Msg: "Maximum call stack size exceeded"}
 		}
 		for _, a := range active {
 			if a == v.obj {

@@ -126,20 +126,22 @@ type Recorder interface {
 // runaway workload degrades to a bounded tail of recent decisions
 // instead of unbounded memory.
 type Sink struct {
-	mu      sync.Mutex
-	buf     []Event // grows to cap, then wraps
-	next    int     // overwrite index once full
-	seq     uint64
-	dropped uint64
+	mu       sync.Mutex
+	capacity int
+	buf      []Event // grows by append to capacity, then wraps
+	next     int     // overwrite index once full
+	seq      uint64
+	dropped  uint64
 }
 
 // NewSink returns a sink holding up to capacity events
-// (DefaultCapacity when capacity <= 0).
+// (DefaultCapacity when capacity <= 0). The ring grows as events
+// arrive, so an idle sink costs nothing however large its capacity.
 func NewSink(capacity int) *Sink {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Sink{buf: make([]Event, 0, capacity)}
+	return &Sink{capacity: capacity}
 }
 
 // Record files one event, stamping its schema version and sequence
@@ -152,7 +154,7 @@ func (s *Sink) Record(e Event) {
 	s.seq++
 	e.Schema = SchemaVersion
 	e.Seq = s.seq
-	if len(s.buf) < cap(s.buf) {
+	if len(s.buf) < s.capacity {
 		s.buf = append(s.buf, e)
 	} else {
 		s.buf[s.next] = e
@@ -175,8 +177,7 @@ func (s *Sink) Restore(events []Event, seq, dropped uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	capacity := cap(s.buf)
-	if overflow := len(events) - capacity; overflow > 0 {
+	if overflow := len(events) - s.capacity; overflow > 0 {
 		events = events[overflow:]
 		dropped += uint64(overflow)
 	}
@@ -228,7 +229,7 @@ func (s *Sink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Event, 0, len(s.buf))
-	if len(s.buf) == cap(s.buf) && cap(s.buf) > 0 {
+	if len(s.buf) == s.capacity {
 		out = append(out, s.buf[s.next:]...)
 		out = append(out, s.buf[:s.next]...)
 	} else {

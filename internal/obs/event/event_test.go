@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,5 +187,22 @@ func TestSinkRestore(t *testing.T) {
 	}
 	if small.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", small.Dropped())
+	}
+}
+
+// TestSinkGrowsOnDemand: a default-capacity sink allocates its ring as
+// events arrive, not up front, so a short-lived telemetry (one per
+// work-unit) costs kilobytes rather than the full 2^19-event ring.
+func TestSinkGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewSink(0)
+	s.Record(Event{Kind: DetectClassify, Site: "a.example"})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("NewSink(0) plus one Record allocated %d bytes, want well under 1 MB", got)
+	}
+	if s.Len() != 1 || s.Total() != 1 {
+		t.Fatalf("len=%d total=%d, want 1/1", s.Len(), s.Total())
 	}
 }

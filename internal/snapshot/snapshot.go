@@ -176,7 +176,7 @@ func (s *Store) Len() int {
 }
 
 // State is the serializable form of a store — the snapshot half of a
-// study checkpoint. Bodies are keyed by content hash; AccountedURLs is
+// unit checkpoint. Bodies are keyed by content hash; AccountedURLs is
 // the accounting cursor (first-seen order), from which the seen-set
 // and the miss count rebuild exactly.
 type State struct {

@@ -1,156 +1,35 @@
 package canvassing
 
-import (
-	"encoding/json"
-	"fmt"
+import "canvassing/internal/distrib"
 
-	"canvassing/internal/attrib"
-	"canvassing/internal/checkpoint"
-	"canvassing/internal/cluster"
-	"canvassing/internal/crawler"
-	"canvassing/internal/netsim"
-)
-
-// Resume continues a checkpointed study from dir. The study's options
-// come from the checkpoint itself; the web regenerates from the seed;
-// metrics, evidence events, fault plans, and the snapshot store are
-// restored to the checkpoint cut; completed crawls are replayed
-// verbatim from their committed pages; a partially committed crawl
-// continues its worker pool from the frontier; and completed analysis
-// phases are re-derived silently (no counters, no events — those are
-// already in the restored state). The result: bundle artifacts from a
-// resumed run are byte-identical to an uninterrupted run's, at any
-// worker width — the resume oracle in resume_test.go enforces it.
+// Resume continues a checkpointed study from its run root dir (the
+// CheckpointDir of a halted Run, or the Dir of a halted
+// RunDistributed). The run shape comes from the unit specs and the
+// ledger there, and the web regenerates from the seed. Units the ledger
+// holds as done are adopted from their partial bundles, an interrupted
+// unit continues from its checkpoint sidecar, the rest run as usual,
+// and every analysis runs live and counted: analysis is a pure function
+// of the adopted pages, so a resumed study's bundle artifacts are
+// byte-identical to an uninterrupted run's, at any worker width and
+// partition count — TestResumeOracle enforces it. The analysis pool
+// runs at the crawl width; analysis width never changes bundle bytes.
 func Resume(dir string) (*Study, error) {
-	cp, err := checkpoint.Load(dir)
+	ledger, units, err := distrib.Reopen(dir)
 	if err != nil {
 		return nil, err
 	}
-	var opts Options
-	if len(cp.Opts) == 0 {
-		return nil, fmt.Errorf("canvassing: checkpoint in %s records no options", dir)
+	opts := specOptions(units[0].Study)
+	opts.CheckpointDir = dir
+	for _, u := range units {
+		switch u.Condition {
+		case CondABP, CondUBO:
+			opts.WithAdblock = true
+		case CondM1:
+			opts.WithM1 = true
+		}
 	}
-	if err := json.Unmarshal(cp.Opts, &opts); err != nil {
-		return nil, fmt.Errorf("canvassing: checkpoint options: %w", err)
-	}
-	opts.CheckpointDir = dir // follow the sidecar even if the dir moved
 	s := New(opts)
-
-	// Restore the cut: registry, event log (with its seq high-water
-	// mark), fault cursor, snapshot store.
-	s.tel.Metrics.Restore(cp.Metrics)
-	s.tel.Events.Restore(cp.Events, cp.EventsSeq, cp.EventsDropped)
-	if cp.Faults != nil {
-		s.Faults = netsim.RestoreFaultModel(*cp.Faults)
-	}
-	if cp.HasSnapshots {
-		snaps, err := checkpoint.LoadSnapshots(dir)
-		if err != nil {
-			return nil, err
-		}
-		s.Snapshots = snaps
-	}
-	s.ckpt.Adopt(cp)
-	s.ckpt.Faults = s.Faults
-	s.ckpt.Snapshots = s.Snapshots
-
-	// Walk the pipeline in Run order: replay finished work, continue
-	// the rest. A fresh interruption (an armed StopAfter on the new
-	// writer) halts the walk exactly as it halts Run.
-	if done, rs := crawlCursor(cp, CondControl); done {
-		s.Control = restoreResult(cp.Crawl(CondControl))
-	} else {
-		s.runControl(rs)
-		if s.Halted {
-			return s, nil
-		}
-	}
-	if cp.PhaseDone(PhaseAnalyze) {
-		s.replayAnalyze()
-	} else {
-		s.Analyze()
-	}
-	if opts.WithAdblock {
-		if done, rs := crawlCursor(cp, CondABP); done {
-			s.ABP = restoreResult(cp.Crawl(CondABP))
-		} else {
-			s.runABP(rs)
-			if s.Halted {
-				return s, nil
-			}
-		}
-		if cp.PhaseDone(PhaseAnalyzeABP) {
-			s.ABPSites = s.analyzer.Replay(s.ABP.Pages, CondABP)
-		} else {
-			s.analyzeABP()
-		}
-		if done, rs := crawlCursor(cp, CondUBO); done {
-			s.UBO = restoreResult(cp.Crawl(CondUBO))
-		} else {
-			s.runUBO(rs)
-			if s.Halted {
-				return s, nil
-			}
-		}
-		if cp.PhaseDone(PhaseAnalyzeUBO) {
-			s.UBOSites = s.analyzer.Replay(s.UBO.Pages, CondUBO)
-		} else {
-			s.analyzeUBO()
-		}
-	}
-	if opts.WithM1 {
-		if done, rs := crawlCursor(cp, CondM1); done {
-			s.M1 = restoreResult(cp.Crawl(CondM1))
-		} else {
-			s.runM1Crawl(rs)
-			if s.Halted {
-				return s, nil
-			}
-		}
-		if cp.PhaseDone(PhaseAnalyzeM1) {
-			s.M1Sites = s.analyzer.Replay(s.M1.Pages, CondM1)
-		} else {
-			s.analyzeM1()
-		}
-	}
-	return s, nil
-}
-
-// crawlCursor reads one condition's continuation state out of a
-// checkpoint: (true, nil) for a completed crawl, (false, pages) for a
-// partial one, (false, nil) for one that never started.
-func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, pages []*crawler.PageResult) {
-	cs := cp.Crawl(cond)
-	if cs == nil {
-		return false, nil
-	}
-	if cs.Done {
-		return true, nil
-	}
-	return false, cs.Pages
-}
-
-// restoreResult rebuilds a completed crawl's Result from its
-// checkpointed state.
-func restoreResult(cs *checkpoint.CrawlState) *crawler.Result {
-	return &crawler.Result{
-		Pages:     cs.Pages,
-		Machine:   cs.Machine,
-		Extension: cs.Extension,
-		Frontier:  cs.Frontier,
-	}
-}
-
-// replayAnalyze re-derives the control-crawl analysis artifacts
-// without touching telemetry: the analysis ran to completion before
-// the checkpoint, so its events and counters are already in the
-// restored state. The memo cache is warmed (counter-free) so later,
-// counted analyses see the cache an uninterrupted run would have.
-func (s *Study) replayAnalyze() {
-	s.Sites = s.analyzer.Replay(s.Control.Pages, CondControl)
-	s.Clustering = cluster.BuildEvents(s.Sites, nil)
-	cfg := s.crawlConfig(CondDemo)
-	cfg.Telemetry = nil // silent demo harvest
-	s.GroundTruth = attrib.BuildGroundTruthEvents(s.Web, s.Sites, cfg, nil)
-	s.Attribution = attrib.AttributeEvents(s.Clustering, s.GroundTruth, s.Sites, nil)
+	s.units, s.ledger = units, ledger
+	s.run()
+	return s, s.err
 }

@@ -16,8 +16,8 @@
 package canvassing
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"canvassing/internal/analysis"
@@ -27,6 +27,7 @@ import (
 	"canvassing/internal/cluster"
 	"canvassing/internal/crawler"
 	"canvassing/internal/detect"
+	"canvassing/internal/distrib"
 	"canvassing/internal/machine"
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
@@ -66,10 +67,11 @@ type Options struct {
 	// under FaultRate (zero selects the crawler defaults).
 	Retries      int
 	VisitTimeout time.Duration
-	// CheckpointDir enables periodic checkpointing: crawl/study progress
-	// is written atomically to <dir>/checkpoint.json at every commit
-	// boundary, and Resume(dir) continues an interrupted run from it.
-	// Empty disables checkpointing.
+	// CheckpointDir makes the study durable: each cohort crawl runs as a
+	// one-partition work-unit under <dir>/units/ (internal/distrib),
+	// whose sidecar checkpoints every CheckpointEvery committed pages,
+	// and Resume(dir) continues an interrupted study from there. Empty
+	// crawls in-process without checkpoints.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in committed pages
 	// (<=0 selects 256).
@@ -147,26 +149,42 @@ type Study struct {
 	// Snapshots is the content-addressed body store shared by every
 	// cohort crawl (nil unless Options.SnapshotReuse).
 	Snapshots *snapshot.Store
-	// Halted reports that the checkpoint writer interrupted the run
-	// (its StopAfter fired): later phases were skipped, and the
-	// checkpoint on disk holds the committed progress for Resume.
+	// Halted reports that a checkpointed run stopped before completing,
+	// and later phases were skipped: either the checkpoint writer's
+	// StopAfter fired, and the run directory holds the progress for
+	// Resume, or a work-unit failed (Err says why).
 	Halted bool
 
 	crawlSites []*web.Site // cohort sites in crawl order
 	tel        *obs.Telemetry
 	analyzer   *analysis.Executor
-	ckpt       *checkpoint.Writer
 	visits     *tracez.Reservoir // exemplar reservoir (nil unless TraceVisits)
-	randCache  map[int]RandomizationResult
+
+	// The work-unit layout of a checkpointed run: ckpt counts every
+	// unit's sidecar writes, and units and ledger are planned on disk
+	// by the first crawl (or reopened by Resume).
+	ckpt   *checkpoint.Writer
+	dist   DistribOptions
+	units  []distrib.UnitSpec
+	ledger *distrib.Ledger
+	err    error
+
+	randCache map[int]RandomizationResult
 	// interactCache memoizes the EX3 interaction re-crawl (randCache
 	// pattern): the report and the repro CLI share one re-crawl.
 	interactCache *InteractionGapResult
 }
 
 // Checkpointer exposes the study's checkpoint writer (nil unless
-// Options.CheckpointDir is set) — tests and binaries use it to arm
-// StopAfter interruption.
+// Options.CheckpointDir is set). Its Dir is the run root and its Writes
+// count every work-unit's sidecar writes; tests and binaries arm its
+// StopAfter before the first crawl to halt the study after that many
+// writes.
 func (s *Study) Checkpointer() *checkpoint.Writer { return s.ckpt }
+
+// Err reports why a halted study stopped when a work-unit failed
+// rather than being interrupted; nil otherwise.
+func (s *Study) Err() error { return s.err }
 
 // Telemetry exposes the study's metrics registry and phase recorder.
 // Every crawl and analysis phase accumulates into it; inspect it with
@@ -203,14 +221,7 @@ func New(opts Options) *Study {
 	}
 	if opts.CheckpointDir != "" {
 		s.ckpt = checkpoint.NewWriter(opts.CheckpointDir, opts.CheckpointEvery)
-		s.ckpt.Metrics = tel.Metrics
-		s.ckpt.Events = tel.Events
-		s.ckpt.Faults = s.Faults
-		s.ckpt.Snapshots = s.Snapshots
 		s.ckpt.Status = tel.Status
-		if err := s.ckpt.SetOpts(opts); err != nil {
-			panic(err) // Options is a plain struct; marshal cannot fail
-		}
 	}
 	if opts.TraceVisits {
 		s.visits = tracez.NewReservoir(opts.Seed, 0, 0)
@@ -230,51 +241,46 @@ func New(opts Options) *Study {
 	return s
 }
 
-// Run executes the full pipeline for opts. If a checkpoint writer with
-// an armed StopAfter interrupts a crawl, the remaining phases are
-// skipped (Study.Halted) and the checkpoint holds the progress.
+// Run executes the full pipeline for opts. If the checkpoint writer
+// halts a crawl, the remaining phases are skipped (Study.Halted).
 func Run(opts Options) *Study {
 	s := New(opts)
-	s.RunControl()
-	if s.Halted {
-		return s
-	}
-	s.Analyze()
-	if opts.WithAdblock {
-		s.RunAdblock()
-		if s.Halted {
-			return s
-		}
-	}
-	if opts.WithM1 {
-		s.RunM1()
-	}
+	s.run()
 	return s
 }
 
-// Pipeline phase names recorded in checkpoints. Resume walks them in
-// this order, replaying finished phases and re-running the rest.
-const (
-	PhaseCrawlControl = "crawl.control"
-	PhaseAnalyze      = "analyze"
-	PhaseCrawlABP     = "crawl.abp"
-	PhaseAnalyzeABP   = "analyze.abp"
-	PhaseCrawlUBO     = "crawl.ubo"
-	PhaseAnalyzeUBO   = "analyze.ubo"
-	PhaseCrawlM1      = "crawl.m1"
-	PhaseAnalyzeM1    = "analyze.m1"
-)
+// run executes the phases Options selects, in pipeline order. Every
+// phase is a no-op once the study has halted.
+func (s *Study) run() {
+	s.RunControl()
+	s.Analyze()
+	if s.Options.WithAdblock {
+		s.RunAdblock()
+	}
+	if s.Options.WithM1 {
+		s.RunM1()
+	}
+}
 
 // crawlConfig builds the shared crawler configuration. Every crawl a
 // study launches (control, ground truth, re-crawls, defenses) feeds
 // the same telemetry registry; condition labels the crawl's decisions
-// in the evidence event log.
+// in the evidence event log, and the ABP, uBO and M1 conditions bring
+// their extension or machine profile.
 func (s *Study) crawlConfig(condition string) crawler.Config {
 	cfg := crawler.DefaultConfig()
 	cfg.Workers = s.Options.Workers
 	cfg.Seed = s.Options.Seed
 	cfg.Telemetry = s.tel
 	cfg.Condition = condition
+	switch condition {
+	case CondABP:
+		cfg.Extension = newABP(s.Lists)
+	case CondUBO:
+		cfg.Extension = newUBO(s.Lists)
+	case CondM1:
+		cfg.Profile = machine.AppleM1()
+	}
 	// Every cohort crawl contends with the same fault plans; the demo
 	// ground-truth harvest runs fault-free (see Options.FaultRate).
 	if condition != CondDemo {
@@ -293,30 +299,24 @@ func (s *Study) crawlConfig(condition string) crawler.Config {
 	return cfg
 }
 
-// attachCheckpoint arms one cohort crawl with the study's checkpoint
-// hook. The demo ground-truth harvest is never checkpointed — it runs
-// inside the analyze phase, whose checkpoints are phase-boundary only.
-func (s *Study) attachCheckpoint(cfg *crawler.Config, resume []*crawler.PageResult) {
-	cfg.Resume = resume
+// crawl runs one cohort condition over both cohorts. An uncheckpointed
+// study crawls in-process; that crawl is the reference the resume and
+// partition oracles compare against. A checkpointed study runs the
+// condition as work-units and adopts their merged result; when a unit
+// is interrupted or fails, crawl returns nil and the study halts.
+func (s *Study) crawl(cond string) *crawler.Result {
 	if s.ckpt == nil {
-		return
+		return crawler.Crawl(s.Web, s.crawlSites, s.crawlConfig(cond))
 	}
-	cfg.CommitEvery = s.ckpt.Every()
-	ext := ""
-	if cfg.Extension != nil {
-		ext = cfg.Extension.Name()
+	res, err := s.crawlUnits(cond)
+	if err != nil {
+		s.Halted = true
+		if !errors.Is(err, distrib.ErrHalted) {
+			s.err = err
+		}
+		return nil
 	}
-	cfg.OnCommit = s.ckpt.Hook(cfg.Profile.Name, ext)
-}
-
-// finishPhase checkpoints a completed pipeline phase.
-func (s *Study) finishPhase(name string) {
-	if s.ckpt == nil || s.Halted {
-		return
-	}
-	if err := s.ckpt.FinishPhase(name); err != nil {
-		fmt.Fprintln(os.Stderr, "canvassing:", err)
-	}
+	return res
 }
 
 // events returns the study's evidence event sink (nil-safe for
@@ -341,24 +341,21 @@ func (s *Study) analyzeAll(pages []*crawler.PageResult, cond string) []detect.Si
 }
 
 // RunControl performs the control crawl over both cohorts.
-func (s *Study) RunControl() { s.runControl(nil) }
-
-func (s *Study) runControl(resume []*crawler.PageResult) {
-	defer s.tel.Phases.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
-	cfg := s.crawlConfig(CondControl)
-	s.attachCheckpoint(&cfg, resume)
-	s.Control = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.Control.Interrupted {
-		s.Halted = true
+func (s *Study) RunControl() {
+	if s.Halted {
 		return
 	}
-	s.finishPhase(PhaseCrawlControl)
+	defer s.tel.Phases.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
+	s.Control = s.crawl(CondControl)
 }
 
 // Analyze runs detection, clustering, ground truth and attribution over
 // the control crawl, recording every verdict to the evidence log.
 // RunControl must have been called.
 func (s *Study) Analyze() {
+	if s.Halted {
+		return
+	}
 	evs := s.events()
 	s.Sites = s.analyzeAll(s.Control.Pages, CondControl)
 	sp := s.tel.Phases.Start("cluster")
@@ -370,90 +367,44 @@ func (s *Study) Analyze() {
 	gt.End()
 	s.Attribution = attrib.AttributeEvents(s.Clustering, s.GroundTruth, s.Sites, evs)
 	sp.End()
-	s.finishPhase(PhaseAnalyze)
 }
 
 // RunAdblock performs the two ad-blocker re-crawls (Table 2) and
 // analyzes their pages under the "abp"/"ubo" condition labels.
 func (s *Study) RunAdblock() {
+	if s.Halted {
+		return
+	}
 	sp := s.tel.Phases.Start("crawl.adblock")
 	defer sp.End()
 	abp := sp.StartChild("abp")
-	s.runABP(nil)
-	if !s.Halted {
-		s.analyzeABP()
-	}
+	s.ABP, s.ABPSites = s.crawlAndAnalyze(CondABP)
 	abp.End()
 	if s.Halted {
 		return
 	}
 	ubo := sp.StartChild("ubo")
-	s.runUBO(nil)
-	if !s.Halted {
-		s.analyzeUBO()
-	}
+	s.UBO, s.UBOSites = s.crawlAndAnalyze(CondUBO)
 	ubo.End()
-}
-
-func (s *Study) runABP(resume []*crawler.PageResult) {
-	cfg := s.crawlConfig(CondABP)
-	cfg.Extension = newABP(s.Lists)
-	s.attachCheckpoint(&cfg, resume)
-	s.ABP = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.ABP.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlABP)
-}
-
-func (s *Study) analyzeABP() {
-	s.ABPSites = s.analyzeAll(s.ABP.Pages, CondABP)
-	s.finishPhase(PhaseAnalyzeABP)
-}
-
-func (s *Study) runUBO(resume []*crawler.PageResult) {
-	cfg := s.crawlConfig(CondUBO)
-	cfg.Extension = newUBO(s.Lists)
-	s.attachCheckpoint(&cfg, resume)
-	s.UBO = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.UBO.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlUBO)
-}
-
-func (s *Study) analyzeUBO() {
-	s.UBOSites = s.analyzeAll(s.UBO.Pages, CondUBO)
-	s.finishPhase(PhaseAnalyzeUBO)
 }
 
 // RunM1 performs the Apple-silicon validation crawl (§3.1).
 func (s *Study) RunM1() {
-	defer s.tel.Phases.Start("crawl.m1").End()
-	s.runM1Crawl(nil)
 	if s.Halted {
 		return
 	}
-	s.analyzeM1()
+	defer s.tel.Phases.Start("crawl.m1").End()
+	s.M1, s.M1Sites = s.crawlAndAnalyze(CondM1)
 }
 
-func (s *Study) runM1Crawl(resume []*crawler.PageResult) {
-	cfg := s.crawlConfig(CondM1)
-	cfg.Profile = machine.AppleM1()
-	s.attachCheckpoint(&cfg, resume)
-	s.M1 = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.M1.Interrupted {
-		s.Halted = true
-		return
+// crawlAndAnalyze crawls one re-crawl condition and analyzes its pages
+// under the condition's label.
+func (s *Study) crawlAndAnalyze(cond string) (*crawler.Result, []detect.SiteCanvases) {
+	res := s.crawl(cond)
+	if s.Halted {
+		return nil, nil
 	}
-	s.finishPhase(PhaseCrawlM1)
-}
-
-func (s *Study) analyzeM1() {
-	s.M1Sites = s.analyzeAll(s.M1.Pages, CondM1)
-	s.finishPhase(PhaseAnalyzeM1)
+	return res, s.analyzeAll(res.Pages, cond)
 }
 
 // ListsForSeed reconstructs the exact blocklists a study with the
